@@ -27,5 +27,5 @@ pub mod simulate;
 pub use machine::{Machine, TemplateDistribution, REPLICATED_COORD};
 pub use simulate::{
     identical_placement_traffic, redistribution_traffic, simulate, simulate_redistribution,
-    EdgeTraffic, PlacementCache, RedistSpec, RestingPlacement, SimOptions, SimReport,
+    sum_elements, EdgeTraffic, PlacementCache, RedistSpec, RestingPlacement, SimOptions, SimReport,
 };

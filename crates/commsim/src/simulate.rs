@@ -129,6 +129,16 @@ impl EdgeTraffic {
     }
 }
 
+/// Add element totals left to right, starting from zero: the one summation
+/// order behind every total a plan's cost is compared on — an atom's edges
+/// ([`PlacementCache::total_elements`] and the per-edge breakdown of
+/// [`PlacementCache::price`]), a phase's atoms, and a plan's phases and
+/// redistribution steps. The same terms in the same order give the same
+/// bits, so a priced total and its replay can be compared with `==`.
+pub fn sum_elements(terms: impl IntoIterator<Item = f64>) -> f64 {
+    terms.into_iter().fold(0.0, |acc, t| acc + t)
+}
+
 /// The result of simulating a whole program.
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
@@ -624,9 +634,15 @@ impl PosEval {
 ///
 /// The cache mirrors [`simulate`]'s sampling exactly (same iteration
 /// strides, same element lattice, same scales), so for any distribution
-/// `d`: `cache.price(&d)` reports the **identical** traffic to
+/// `d`: `cache.price(&d)` reports the same traffic as
 /// `simulate(adg, alignment, &d, opts)` — locked in by the
-/// `cache_matches_simulate` test.
+/// `cache_matches_simulate` test. The two scale and add the sampled
+/// elements in different orders, so non-integer scales or control weights
+/// can make them differ in the last bits. Within the cache the order is
+/// fixed: an edge's sampled elements are summed over all its iterations
+/// and scaled once, and the edges are added with [`sum_elements`] — so the
+/// per-edge breakdown of [`PlacementCache::price`], summed that way, equals
+/// [`PlacementCache::total_elements`] bit for bit.
 #[derive(Debug, Clone)]
 pub struct PlacementCache {
     edges: Vec<CachedEdge>,
@@ -854,8 +870,7 @@ impl PlacementCache {
     pub fn total_elements<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> f64 {
         trace::count("commsim.cache.prices", 1);
         let tables = OwnerTables::build(machine, &self.coord_lo, &self.coord_hi);
-        let mut total = 0.0;
-        for edge in &self.edges {
+        sum_elements(self.edges.iter().map(|edge| {
             let mut edge_elems = 0.0;
             let sample_width = edge.sample_width();
             for iteration in &edge.iterations {
@@ -880,9 +895,8 @@ impl PlacementCache {
                     }
                 }
             }
-            total += edge_elems * edge.weight;
-        }
-        total
+            edge_elems * edge.weight
+        }))
     }
 
     fn run<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> SimReport {
@@ -895,10 +909,11 @@ impl PlacementCache {
         let mut pairs = PairSet::new(machine.num_processors());
         for edge in &self.edges {
             let mut traffic = EdgeTraffic::default();
+            // Sampled elements over every iteration, scaled once at the end
+            // — the order `total_elements` adds them in.
+            let mut edge_elems = 0.0;
             let sample_width = edge.sample_width();
             for iteration in &edge.iterations {
-                let mut moves = 0.0;
-                let mut broadcast = 0.0;
                 pairs.begin();
                 for (s, chunk) in iteration.coords.chunks_exact(sample_width).enumerate() {
                     let scale = iteration.scales[s];
@@ -907,7 +922,7 @@ impl PlacementCache {
                         None => machine.owner_flat(&chunk[..edge.src_rank]),
                     };
                     if edge.dst_replicated {
-                        broadcast += scale;
+                        edge_elems += scale;
                         pairs.insert(src_owner, usize::MAX);
                     } else {
                         let dst_owner = match &tables {
@@ -915,14 +930,17 @@ impl PlacementCache {
                             None => machine.owner_flat(&chunk[edge.src_rank..]),
                         };
                         if src_owner != dst_owner {
-                            moves += scale;
+                            edge_elems += scale;
                             pairs.insert(src_owner, dst_owner);
                         }
                     }
                 }
-                traffic.element_moves += moves * edge.weight;
-                traffic.broadcast_elements += broadcast * edge.weight;
                 traffic.messages += pairs.len() as f64 * edge.weight;
+            }
+            if edge.dst_replicated {
+                traffic.broadcast_elements = edge_elems * edge.weight;
+            } else {
+                traffic.element_moves = edge_elems * edge.weight;
             }
             if !traffic.is_zero() {
                 report.per_edge.push((edge.id, traffic));
@@ -1601,6 +1619,13 @@ mod tests {
                         cached.total_elements(),
                         cache.total_elements(&machine),
                         "{}: fast path",
+                        program.name
+                    );
+                    let by_edge = sum_elements(cached.per_edge.iter().map(|(_, t)| t.elements()));
+                    assert_eq!(
+                        by_edge.to_bits(),
+                        cache.total_elements(&machine).to_bits(),
+                        "{}: per-edge breakdown",
                         program.name
                     );
                 }

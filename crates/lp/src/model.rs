@@ -344,12 +344,21 @@ impl Problem {
     /// presolve first (the hard node constraints of the alignment RLPs are
     /// mostly pairwise equalities, which would otherwise bloat and
     /// destabilise the solver), then the bounded-variable revised simplex
-    /// ([`crate::revised`]) on what remains. If the revised solver reports
-    /// numerical failure (`IterationLimit`), the dense tableau simplex is
-    /// tried as a last resort before giving up.
+    /// ([`crate::revised`]) on what remains. The revised solver recovers
+    /// from a singular basis after a rejected update by rolling the pivot
+    /// back, so it only reports numerical failure (`IterationLimit`) when a
+    /// scheduled refactorisation finds the basis singular, a rollback's
+    /// previous basis no longer factorises, phase 1 fails without an
+    /// infeasibility certificate, or the iteration budget runs out. Those
+    /// LPs are re-solved on the dense tableau simplex as a last resort —
+    /// counted as `lp.tableau_fallbacks`, and slow (seconds on the larger
+    /// offset LPs).
     pub fn solve(&self) -> Result<Solution, SolveError> {
         self.solve_with(|reduced| match revised::solve(reduced) {
-            Err(SolveError::IterationLimit) => simplex::solve(reduced),
+            Err(SolveError::IterationLimit) => {
+                trace::count("lp.tableau_fallbacks", 1);
+                simplex::solve(reduced)
+            }
             other => other,
         })
     }

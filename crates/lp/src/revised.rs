@@ -41,6 +41,18 @@
 //!   objective-stall cutoff (like the tableau's, but reporting `Stalled`
 //!   so phase 1 can never turn a stall into a spurious Infeasible) bounds
 //!   the pivot count in practice.
+//! * **Singular bases roll back.** A Forrest–Tomlin update with too small a
+//!   new diagonal is rejected and the new basis refactorised from scratch.
+//!   If that basis is numerically singular too, the pivot is undone: the
+//!   previous basis, factorised one pivot earlier, is refactorised (which
+//!   re-derives the basic values), and the entering column is kept out of
+//!   pricing until the objective next moves. When only such rejected
+//!   columns still price, the run ends as `Stalled` — a feasible vertex,
+//!   which phase 2 accepts. Each rollback counts `lp.pivot_rollbacks`. A
+//!   scheduled reinversion that finds the basis singular has no earlier
+//!   basis to return to; it counts `lp.singular_refactors` and the solve
+//!   reports `IterationLimit`, which [`Problem::solve`] answers with the
+//!   counted tableau fallback.
 //!
 //! Phase 1 starts from a crash basis (slack / structural columns where the
 //! start residuals allow, signed artificials for the rest) and minimises
@@ -480,8 +492,8 @@ impl Revised {
     /// Rebuild the kernel from the current basis columns (reinversion).
     /// Returns `false` if the basis has become numerically singular (every
     /// basis reached by exact pivots is nonsingular, so this only flags
-    /// accumulated rounding damage; the caller gives up and lets the model
-    /// layer fall back to the tableau oracle).
+    /// rounding damage or a near-zero pivot; the simplex loop rolls the
+    /// offending pivot back where it can, see the module docs).
     fn refactorize(&mut self) -> bool {
         trace::count("lp.refactorisations", 1);
         let _span = trace::span("lp.factor");
@@ -571,9 +583,17 @@ impl Revised {
         let scannable: Vec<usize> = (0..self.art0)
             .filter(|&j| self.upper[j] - self.lower[j] > EPS)
             .collect();
+        // Columns whose pivot was rolled back (see the rejected-update path
+        // below). They stay out of pricing until the objective next moves.
+        let mut rejected = vec![false; self.art0];
+        let mut rejected_cols: Vec<usize> = Vec::new();
         for _ in 0..max_iters {
             if self.needs_refactor() {
                 if !self.refactorize() {
+                    // A scheduled reinversion has no previous basis to fall
+                    // back to: the basis it refactorises has carried every
+                    // Forrest–Tomlin update since the last one.
+                    trace::count("lp.singular_refactors", 1);
                     return RunResult::IterationLimit;
                 }
                 // A reinversion changes the rounding of B⁻ᵀ; re-derive the
@@ -585,6 +605,9 @@ impl Revised {
             if obj < last_obj - stall_tol {
                 last_obj = obj;
                 stalled = 0;
+                for j in rejected_cols.drain(..) {
+                    rejected[j] = false;
+                }
             } else {
                 stalled += 1;
                 if stalled > stall_limit {
@@ -628,6 +651,7 @@ impl Revised {
             let mut entering: Option<(usize, bool)> = None;
             let mut best_mag = PRICE_TOL;
             let mut best_score = 0.0f64;
+            let mut rejected_priced = false;
             let scan_span = trace::span("lp.scan");
             // Artificial columns (j >= art0) are never priced: an
             // artificial that left the basis never re-enters.
@@ -650,6 +674,10 @@ impl Revised {
                     None
                 };
                 if let Some(decrease) = dir {
+                    if rejected[j] {
+                        rejected_priced = true;
+                        continue;
+                    }
                     if use_bland {
                         entering = Some((j, decrease));
                         break;
@@ -679,6 +707,11 @@ impl Revised {
                     // freshly recomputed set.
                     cbar_fresh = false;
                     continue;
+                }
+                // Only rolled-back columns still price: the vertex is
+                // feasible, but optimality is not proven.
+                if rejected_priced {
+                    return RunResult::Stalled;
                 }
                 return RunResult::Optimal;
             };
@@ -862,6 +895,7 @@ impl Revised {
                             self.x[bi] -= theta * s * di;
                         }
                     }
+                    let xq_before = self.x[q];
                     self.x[q] += theta * s;
                     self.x[leave] = bound;
                     self.in_basis[leave] = false;
@@ -869,7 +903,21 @@ impl Revised {
                     self.basis[r] = q;
                     if !self.apply_pivot(r, &d) {
                         if !self.refactorize() {
-                            return RunResult::IterationLimit;
+                            // The new basis is numerically singular. The
+                            // previous one was factorised a pivot ago, so
+                            // undo the pivot, refactorise that basis (which
+                            // re-derives every basic value) and keep `q` out
+                            // of pricing until the objective moves.
+                            trace::count("lp.pivot_rollbacks", 1);
+                            self.basis[r] = leave;
+                            self.in_basis[q] = false;
+                            self.in_basis[leave] = true;
+                            self.x[q] = xq_before;
+                            if !self.refactorize() {
+                                return RunResult::IterationLimit;
+                            }
+                            rejected[q] = true;
+                            rejected_cols.push(q);
                         }
                         cbar_fresh = false;
                         snap_all = true;

@@ -49,7 +49,7 @@ use distrib::{
     ProgramDistribution, RankedDistribution, SolveConfig,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Configuration of the dynamic pipeline.
 #[derive(Debug, Clone)]
@@ -359,7 +359,12 @@ impl DynamicPipelineResult {
         if opts == self.config.sim && self.phase_caches.len() == self.phases.len() {
             return self.phase_caches.clone();
         }
-        let mut store = self.sim_caches.lock().unwrap();
+        // The store only ever appends finished entries, so a guard poisoned
+        // by a panicking holder still guards valid caches.
+        let mut store = self
+            .sim_caches
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some((_, caches)) = store.dynamic.iter().find(|(o, _)| *o == opts) {
             return caches.clone();
         }
@@ -385,7 +390,10 @@ impl DynamicPipelineResult {
     /// Placement cache of the static solution's ADG under `opts`, built
     /// once per distinct options and shared across clones.
     fn static_cache_for(&self, opts: SimOptions) -> Arc<commsim::PlacementCache> {
-        let mut store = self.sim_caches.lock().unwrap();
+        let mut store = self
+            .sim_caches
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some((_, cache)) = store.static_adg.iter().find(|(o, _)| *o == opts) {
             return cache.clone();
         }
@@ -894,10 +902,7 @@ fn layer_from_report(
         costs: keep
             .iter()
             .map(|r| {
-                caches
-                    .iter()
-                    .map(|c| c.total_elements(&r.distribution))
-                    .sum()
+                commsim::sum_elements(caches.iter().map(|c| c.total_elements(&r.distribution)))
             })
             .collect(),
         sigs: keep
@@ -1185,24 +1190,20 @@ pub fn try_align_then_distribute_dynamic(
                 };
 
             // Exact plan pricing on the final structure: in-phase simulated
-            // traffic plus every per-array step — the same accounting
-            // `simulate_dynamic` replays, so `planned_cost` IS the
-            // simulated plan cost.
+            // traffic plus every per-array step — the same accounting, in
+            // the same summation order, that `simulate_dynamic` replays, so
+            // `planned_cost` IS the simulated plan cost, bit for bit.
             let per_phase: Vec<ProgramDistribution> = chosen_sigs
                 .iter()
                 .zip(&phases)
                 .map(|(&s, p)| instantiate(&sig_pool[s], p.cover_extents()))
                 .collect();
-            let planned_cost: f64 = chosen
-                .iter()
-                .zip(&layers)
-                .map(|(&k, l)| l.costs[k])
-                .sum::<f64>()
-                + steps
+            let planned_cost = plan_elements(
+                chosen.iter().zip(&layers).map(|(&k, l)| l.costs[k]),
+                steps
                     .iter()
-                    .flatten()
-                    .map(|s| s.cost.elements())
-                    .sum::<f64>();
+                    .map(|b| commsim::sum_elements(b.iter().map(|s| s.cost.elements()))),
+            );
             let dynamic = DynamicDistribution {
                 chosen,
                 per_phase,
@@ -1448,17 +1449,36 @@ fn merge_phase_group(members: Vec<PhaseResult>, nprocs: usize) -> PhaseResult {
     }
 }
 
+/// A plan's total in simulated elements: every phase's in-phase elements,
+/// then every boundary's redistribution elements, added by
+/// [`commsim::sum_elements`]. Each phase term is itself that sum over the
+/// phase's atoms, each boundary term over its steps. The planner prices
+/// [`DynamicDistribution::planned_cost`] with this function and
+/// [`DynamicSimReport::total_elements`] replays through it, so the two
+/// agree bit for bit.
+fn plan_elements(
+    phases: impl IntoIterator<Item = f64>,
+    boundaries: impl IntoIterator<Item = f64>,
+) -> f64 {
+    commsim::sum_elements(phases.into_iter().chain(boundaries))
+}
+
 /// Simulated traffic of a dynamic plan, phase by phase plus the per-array
 /// redistribution steps — the end-to-end validation of the plan. Under the
 /// options the plan was priced with ([`DynamicConfig::sim`]), the total
-/// equals [`DynamicDistribution::planned_cost`]; under [`SimOptions::exact`]
-/// both are exact.
+/// equals [`DynamicDistribution::planned_cost`] bit for bit; under
+/// [`SimOptions::exact`] both are exact.
 #[derive(Debug, Clone)]
 pub struct DynamicSimReport {
     /// Simulated element traffic of each phase under its chosen
     /// distribution (each phase's atoms summed on the phase's covering
     /// template; `per_edge` entries are per-atom edge ids).
     pub per_phase: Vec<SimReport>,
+    /// Element total of each phase: its atoms' per-edge elements, summed
+    /// atom by atom in the order the planner prices the phase. It can
+    /// differ from `per_phase[i].total_elements()`, which sums moves and
+    /// broadcasts separately, in the last bits.
+    pub phase_elements: Vec<f64>,
     /// Element traffic of each boundary's per-array redistribution steps.
     pub redist_elements: Vec<f64>,
 }
@@ -1466,11 +1486,10 @@ pub struct DynamicSimReport {
 impl DynamicSimReport {
     /// Total elements moved: in-phase traffic plus redistribution.
     pub fn total_elements(&self) -> f64 {
-        self.per_phase
-            .iter()
-            .map(SimReport::total_elements)
-            .sum::<f64>()
-            + self.redist_elements.iter().sum::<f64>()
+        plan_elements(
+            self.phase_elements.iter().copied(),
+            self.redist_elements.iter().copied(),
+        )
     }
 }
 
@@ -1490,7 +1509,7 @@ pub fn simulate_dynamic(result: &DynamicPipelineResult, opts: SimOptions) -> Dyn
     // same traffic), priced by owner-table lookups instead of re-walking
     // every position per call.
     let phase_caches = result.phase_caches_for(opts);
-    let per_phase: Vec<SimReport> = result
+    let (per_phase, phase_elements): (Vec<SimReport>, Vec<f64>) = result
         .phases
         .iter()
         .zip(&chosen_sigs)
@@ -1501,37 +1520,36 @@ pub fn simulate_dynamic(result: &DynamicPipelineResult, opts: SimOptions) -> Dyn
                 processors: result.nprocs,
                 ..SimReport::default()
             };
+            let mut atom_elements = Vec::with_capacity(phase_caches[i].len());
             for cache in phase_caches[i].iter() {
-                merged.merge(cache.price(&dist));
+                let report = cache.price(&dist);
+                atom_elements.push(commsim::sum_elements(
+                    report.per_edge.iter().map(|(_, t)| t.elements()),
+                ));
+                merged.merge(report);
             }
-            merged
+            (merged, commsim::sum_elements(atom_elements))
         })
-        .collect();
+        .unzip();
     let redist_elements: Vec<f64> = (0..result.phases.len().saturating_sub(1))
         .map(|b| {
-            result.live[b]
-                .iter()
-                .filter_map(|(array, _, extents)| {
-                    let (src_align, src_cover, src_phase) =
-                        resting_before(&result.phases, b, *array)?;
-                    let (dst_align, dst_cover) = resting_at_start(&result.phases[b + 1], *array)?;
-                    let src_dist = instantiate(&chosen_sigs[src_phase], &src_cover);
-                    let dst_dist = instantiate(&chosen_sigs[b + 1], &dst_cover);
-                    let spec = commsim::RedistSpec {
-                        extents,
-                        src: RestingPlacement::new(&src_align, &src_dist),
-                        dst: RestingPlacement::new(&dst_align, &dst_dist),
-                    };
-                    Some(
-                        commsim::simulate_redistribution(std::slice::from_ref(&spec), opts)
-                            .elements(),
-                    )
-                })
-                .sum()
+            commsim::sum_elements(result.live[b].iter().filter_map(|(array, _, extents)| {
+                let (src_align, src_cover, src_phase) = resting_before(&result.phases, b, *array)?;
+                let (dst_align, dst_cover) = resting_at_start(&result.phases[b + 1], *array)?;
+                let src_dist = instantiate(&chosen_sigs[src_phase], &src_cover);
+                let dst_dist = instantiate(&chosen_sigs[b + 1], &dst_cover);
+                let spec = commsim::RedistSpec {
+                    extents,
+                    src: RestingPlacement::new(&src_align, &src_dist),
+                    dst: RestingPlacement::new(&dst_align, &dst_dist),
+                };
+                Some(commsim::simulate_redistribution(std::slice::from_ref(&spec), opts).elements())
+            }))
         })
         .collect();
     DynamicSimReport {
         per_phase,
+        phase_elements,
         redist_elements,
     }
 }
@@ -1728,20 +1746,52 @@ mod tests {
 
     #[test]
     fn planned_cost_equals_simulated_cost() {
-        // The exactness contract, spot-checked here on one workload (the
-        // full property test over every phase workload lives in
-        // tests/dynamic_tests.rs): priced == simulated under the pricing
-        // options.
-        let mut cfg = DynamicConfig::default();
-        cfg.sim = SimOptions::exact();
-        let result = align_then_distribute_dynamic(&programs::fft_like(16, 8), 8, &cfg);
-        let sim = simulate_dynamic(&result, SimOptions::exact());
-        assert!(
-            (result.dynamic.planned_cost - sim.total_elements()).abs() < 1e-9,
-            "planned {} vs simulated {}",
-            result.dynamic.planned_cost,
-            sim.total_elements()
-        );
+        // The exactness contract, spot-checked here (the full property test
+        // over every phase workload lives in tests/dynamic_tests.rs):
+        // priced == simulated under the pricing options, bit for bit. The
+        // sampled instances carry non-integer scales and control weights,
+        // so their totals only agree when both sides add the same terms in
+        // the same order.
+        let mut exact = DynamicConfig::default();
+        exact.sim = SimOptions::exact();
+        let sampled = DynamicConfig::default();
+        let cases = [
+            (programs::fft_like(16, 8), &exact),
+            (programs::conditional_pipeline(36, 9, 0.7), &sampled),
+            (programs::fft_like_nested(90, 40), &sampled),
+            (programs::multi_array_pipeline(102, 8), &sampled),
+            (programs::reduction_tree(86, 24), &sampled),
+            (programs::reduction_tree(96, 24), &sampled),
+        ];
+        for (program, cfg) in cases {
+            let result = align_then_distribute_dynamic(&program, 8, cfg);
+            let sim = simulate_dynamic(&result, cfg.sim);
+            assert_eq!(
+                result.dynamic.planned_cost.to_bits(),
+                sim.total_elements().to_bits(),
+                "{}: planned {} vs simulated {}",
+                program.name,
+                result.dynamic.planned_cost,
+                sim.total_elements()
+            );
+        }
+    }
+
+    #[test]
+    fn replays_survive_a_poisoned_sim_cache_store() {
+        let result =
+            align_then_distribute_dynamic(&programs::fft_like(16, 8), 8, &DynamicConfig::default());
+        let store = Arc::clone(&result.sim_caches);
+        let _ = std::thread::spawn(move || {
+            let _guard = store.lock().unwrap();
+            panic!("poisoning the sim-cache store");
+        })
+        .join();
+        assert!(result.sim_caches.is_poisoned());
+        let exact = SimOptions::exact();
+        let first = simulate_dynamic(&result, exact).total_elements();
+        assert_eq!(first, simulate_dynamic(&result, exact).total_elements());
+        assert!(simulate_static(&result, exact).total_elements().is_finite());
     }
 
     #[test]

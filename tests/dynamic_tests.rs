@@ -58,8 +58,9 @@ fn planned_cost_equals_simulated_cost_on_every_phase_workload() {
         cfg.max_candidates_per_phase = 4;
         let result = align_then_distribute_dynamic(&program, 8, &cfg);
         let sim = simulate_dynamic(&result, SimOptions::exact());
-        assert!(
-            (result.dynamic.planned_cost - sim.total_elements()).abs() < 1e-6,
+        assert_eq!(
+            result.dynamic.planned_cost.to_bits(),
+            sim.total_elements().to_bits(),
             "{name}: planned {} vs simulated {}",
             result.dynamic.planned_cost,
             sim.total_elements()
@@ -323,10 +324,11 @@ fn phase_workload_suite_runs_end_to_end() {
         assert_eq!(sim.per_phase.len(), result.phases.len(), "{name}");
         assert_eq!(sim.redist_elements.len(), result.phases.len() - 1, "{name}");
         // Under the pricing options the simulator must agree with the plan
-        // (the exact-options contract is locked separately above).
-        assert!(
-            (result.dynamic.planned_cost - sim.total_elements()).abs()
-                <= 1e-6 * (1.0 + result.dynamic.planned_cost.abs()),
+        // bit for bit (the exact-options contract is locked separately
+        // above).
+        assert_eq!(
+            result.dynamic.planned_cost.to_bits(),
+            sim.total_elements().to_bits(),
             "{name}: planned {} vs simulated {}",
             result.dynamic.planned_cost,
             sim.total_elements()
