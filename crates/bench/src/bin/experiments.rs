@@ -78,11 +78,6 @@ fn main() {
             e23,
         ),
         (
-            "e24",
-            "Basis kernels — sparse LU vs product-form eta file across machine sizes",
-            e24,
-        ),
-        (
             "e25",
             "The flattened planner — re-profiled spans, dominance vs beam, dual-simplex children",
             e25,
@@ -1075,8 +1070,8 @@ fn e22() {
     println!("profile blamed are gone — the hypersparse FTRAN/BTRAN only touch the");
     println!("nonzero pattern. What remains of `lp.solve`'s exclusive share is pricing");
     println!("and ratio-test bookkeeping, with the planner, per-candidate simulation");
-    println!("and placement-cache builds still orders of magnitude behind (E24");
-    println!("quantifies the kernel swap head-to-head).");
+    println!("and placement-cache builds still orders of magnitude behind (the");
+    println!("retired E24 measured the kernel swap: LU 1.4–1.6x faster, same plans).");
 }
 
 // --- E23: hot-path levers — pricing rules, warm starts, pool sweep ----------------------------
@@ -1254,94 +1249,6 @@ fn deep_milp(n: usize) -> lp::Problem {
     let all: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
     p.add_constraint(all, lp::Relation::Le, (3 * n + 2) as f64);
     p
-}
-
-// --- E24: basis kernels — sparse LU vs product-form eta file ------------------
-
-fn e24() {
-    use alignment_core::Kernel;
-
-    // The tentpole A/B, run live: the same end-to-end solve under the
-    // sparse-LU kernel (CSC matrix, Markowitz LU, Forrest–Tomlin updates,
-    // hypersparse FTRAN/BTRAN) and under the historical product-form eta
-    // file, across machine sizes. The last column is the
-    // `crates/phases/tests/kernel_ab.rs` lock rerun live: the kernels may
-    // take different pivot routes through degenerate ties (the pivot
-    // columns can differ — their roundoff does), but the plan must be
-    // bitwise-identical. `sparse FTRAN share` is
-    // lp.ftran.sparse / (lp.ftran.sparse + lp.ftran.dense) under the LU
-    // kernel: how often the hypersparse path kept the right-hand side's
-    // support small enough to skip the dense fallback.
-    let mut t = Table::new(&[
-        "workload",
-        "P",
-        "eta pivots",
-        "LU pivots",
-        "eta ms",
-        "LU ms",
-        "sparse FTRAN share",
-        "plan cost equal",
-    ]);
-    for (name, program) in [
-        (
-            "multi_array_pipeline",
-            programs::multi_array_pipeline(32, 8),
-        ),
-        ("reduction_tree", programs::reduction_tree(24, 24)),
-    ] {
-        for nprocs in [8usize, 32, 128] {
-            let run = |kernel: Kernel| {
-                let mut cfg = DynamicConfig::default();
-                cfg.alignment.offset.kernel = kernel;
-                let before = trace::CounterSnapshot::now();
-                let t0 = Instant::now();
-                let result = align_then_distribute_dynamic(&program, nprocs, &cfg);
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                let delta = trace::CounterSnapshot::now().delta_since(&before);
-                let get = |k: &str| delta.counters.get(k).copied().unwrap_or(0);
-                (
-                    get("lp.pivots"),
-                    ms,
-                    get("lp.ftran.sparse"),
-                    get("lp.ftran.dense"),
-                    result.dynamic.planned_cost,
-                )
-            };
-            let (eta_pivots, eta_ms, _, _, eta_cost) = run(Kernel::EtaFile);
-            let (lu_pivots, lu_ms, sparse, dense, lu_cost) = run(Kernel::SparseLu);
-            let share = if sparse + dense > 0 {
-                format!("{:.1}%", 100.0 * sparse as f64 / (sparse + dense) as f64)
-            } else {
-                "—".into()
-            };
-            t.row(vec![
-                name.to_string(),
-                nprocs.to_string(),
-                eta_pivots.to_string(),
-                lu_pivots.to_string(),
-                format!("{eta_ms:.1}"),
-                format!("{lu_ms:.1}"),
-                share,
-                if eta_cost.to_bits() == lu_cost.to_bits() {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]);
-        }
-    }
-    println!("{t}");
-    println!("The pivot columns can differ by a few percent — the two kernels'");
-    println!("roundoff differs, so degenerate ties occasionally break differently and");
-    println!("the simplex takes a different *route* — but the `plan cost equal`");
-    println!("column is the invariant the counter gate rests on: both routes land on");
-    println!("the same optima and the same rounded offsets, so plans and every");
-    println!("`phases.*`/`commsim.*` counter are bitwise-identical and only `lp.*`");
-    println!("work counters move. The wall-clock gap is the cost per pivot: the eta");
-    println!("file re-runs a dense O(m) sweep per eta term, while the LU kernel");
-    println!("factors once, applies Forrest–Tomlin updates, and keeps FTRAN on the");
-    println!("hypersparse path for the overwhelming share of solves — the offset");
-    println!("LPs' 2–4-nonzero rows are exactly the shape hypersparsity rewards.");
 }
 
 // --- E25: the flattened planner — profile, pruning, dual simplex --------------

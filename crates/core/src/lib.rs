@@ -37,7 +37,7 @@ pub mod replication;
 pub mod stride;
 
 pub use cost::{CommCost, CostModel};
-pub use lp::{Kernel, PricingRule};
+pub use lp::PricingRule;
 pub use mobile_offset::{MobileOffsetConfig, OffsetStrategy};
 pub use pipeline::{align_program, AlignmentResult, PipelineConfig};
 pub use position::{OffsetAlign, PortAlignment, ProgramAlignment};

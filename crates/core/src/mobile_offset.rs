@@ -122,13 +122,6 @@ pub struct MobileOffsetConfig {
     /// LP round differently, so the fallback ladder retries a blown-up
     /// rounding under the other rule before reaching for coarser subranges.
     pub pricing: lp::PricingRule,
-    /// Basis-inverse kernel for the offset LPs. The kernels may take
-    /// different pivot routes through degenerate ties (their roundoff
-    /// differs), but they land on the same optima and the same rounded
-    /// offsets — every plan-visible output is bitwise-identical (the
-    /// `kernel_ab` lock) — so this knob exists for plan-identity A/B locks
-    /// and the e24 experiment, not for tuning.
-    pub kernel: lp::Kernel,
 }
 
 impl Default for MobileOffsetConfig {
@@ -139,7 +132,6 @@ impl Default for MobileOffsetConfig {
             strategy: OffsetStrategy::FixedPartition(3),
             forbid_mobile: false,
             pricing: lp::PricingRule::default(),
-            kernel: lp::Kernel::default(),
         }
     }
 }
@@ -467,7 +459,6 @@ fn solve_once(
 ) -> (OffsetSolveReport, Vec<Option<Affine>>) {
     let OffsetLp { mut problem, vars } = build_offset_constraints(adg, alignment, axis, replicated);
     problem.set_pricing(config.pricing);
-    problem.set_kernel(config.kernel);
     // Snapshot of the hard node constraints (used only to cross-check the
     // cost model's violation pricing in debug builds — see below).
     #[cfg(debug_assertions)]

@@ -13,13 +13,8 @@
 //! partial pivoting, kept current across pivots by Forrest–Tomlin updates
 //! and periodically refactorised; FTRAN and BTRAN walk only the nonzero
 //! pattern (hypersparse solves), falling back to dense sweeps when a
-//! right-hand side fills in. The historical product-form kernel (an eta
-//! file over a ±1 start basis) is retained behind [`Kernel::EtaFile`]
-//! (see [`Problem::set_kernel`]) for A/B locks and experiments — the two
-//! kernels may take different pivot routes through degenerate ties (their
-//! roundoff differs) but land on the same optima, so swapping them never
-//! changes a plan. Box bounds are handled by the ratio test instead of
-//! explicit rows, the entering column is chosen by a configurable
+//! right-hand side fills in. Box bounds are handled by the ratio test
+//! instead of explicit rows, the entering column is chosen by a configurable
 //! [`PricingRule`] (Devex by default, Dantzig as fallback — see
 //! [`Problem::set_pricing`]), and Bland's rule takes over as an
 //! anti-cycling fallback after a run of degenerate pivots. Solves can
@@ -63,7 +58,7 @@ pub use branch_bound::{solve_milp, solve_milp_with};
 pub use model::{Problem, Relation, Solution, SolveError, VarId};
 #[doc(hidden)]
 pub use revised::KernelBench;
-pub use revised::{solve_with_start, BasisSnapshot, Kernel, PricingRule};
+pub use revised::{solve_with_start, BasisSnapshot, PricingRule};
 
 /// Numerical tolerance used throughout the solver.
 pub const EPS: f64 = 1e-9;

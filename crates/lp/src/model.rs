@@ -62,7 +62,6 @@ pub struct Problem {
     pub(crate) vars: Vec<Variable>,
     pub(crate) constraints: Vec<Constraint>,
     pub(crate) pricing: crate::revised::PricingRule,
-    pub(crate) kernel: crate::revised::Kernel,
 }
 
 /// Errors reported by the solver.
@@ -179,20 +178,6 @@ impl Problem {
     /// The pricing rule solves of this problem will use.
     pub fn pricing(&self) -> crate::revised::PricingRule {
         self.pricing
-    }
-
-    /// Select the basis-inverse kernel ([`crate::Kernel`]) used by every
-    /// solve of this problem (and, via [`Clone`], of any problem derived
-    /// from it — branch-and-bound children inherit the kernel). The default
-    /// is the sparse LU kernel; the historical eta file is kept for A/B
-    /// plan-identity comparisons.
-    pub fn set_kernel(&mut self, kernel: crate::revised::Kernel) {
-        self.kernel = kernel;
-    }
-
-    /// The basis-inverse kernel solves of this problem will use.
-    pub fn kernel(&self) -> crate::revised::Kernel {
-        self.kernel
     }
 
     /// Tighten (replace) the bounds of a variable.
@@ -321,9 +306,8 @@ impl Problem {
         trace::count("lp.solves", 1);
         let mut pre = crate::presolve::Presolve::new(self)?;
         // The reduced problem is rebuilt variable-by-variable; carry the
-        // pricing rule and kernel over so the configured ones actually run.
+        // pricing rule over so the configured one actually runs.
         pre.reduced.pricing = self.pricing;
-        pre.reduced.kernel = self.kernel;
         trace::count(
             "lp.presolve_eliminated",
             (self.num_vars() - pre.reduced.num_vars()) as u64,

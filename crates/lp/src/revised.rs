@@ -5,19 +5,23 @@
 //! differential-testing oracle behind [`Problem::solve_tableau`]) in three
 //! structural ways:
 //!
-//! * **No tableau.** The basis inverse is never materialised. The default
-//!   [`Kernel::SparseLu`] keeps a sparse LU factorisation of the basis
-//!   (Markowitz-style ordering with threshold partial pivoting — see the
-//!   private `factor` module) over the once-built CSC constraint matrix, applies
-//!   a Forrest–Tomlin update per pivot, and solves hypersparse
-//!   FTRAN/BTRAN against `(index, value)` right-hand sides so work scales
-//!   with the support of the vector rather than with `m`. The historical
-//!   product-form eta file is retained verbatim as [`Kernel::EtaFile`] for
-//!   A/B plan-identity locks and experiments. Either way the kernel is
-//!   rebuilt from the sparse columns once `REFACTOR_INTERVAL` pivots have
-//!   accumulated on top of the last reinversion, so rounding error cannot
-//!   accumulate across an unbounded pivot sequence the way it does in a
-//!   tableau.
+//! * **No tableau.** The basis inverse is never materialised. The solver
+//!   keeps a sparse LU factorisation of the basis (Markowitz-style ordering
+//!   with threshold partial pivoting — see the private `factor` module)
+//!   over the once-built CSC constraint matrix, applies a Forrest–Tomlin
+//!   update per pivot, and solves hypersparse FTRAN/BTRAN against
+//!   `(index, value)` right-hand sides so work scales with the support of
+//!   the vector rather than with `m`. `U` carries a row index, so a
+//!   Forrest–Tomlin update and the pivot-row BTRAN visit only the columns
+//!   reachable from their row. The factorisation is rebuilt from the sparse
+//!   columns once `REFACTOR_INTERVAL` pivots have accumulated on top of the
+//!   last reinversion, so rounding error cannot accumulate across an
+//!   unbounded pivot sequence the way it does in a tableau. The kernel is
+//!   held to one contract: a kernel change may make a pivot cheaper but may
+//!   not move any `lp.*` counter — every skipped operation would have
+//!   produced an exact zero, and every performed one keeps its order, so
+//!   the pivot sequence and every plan stay bit-identical (locked by
+//!   `crates/bench/tests/pivot_paths.rs` and the counter gate).
 //! * **Bounded variables stay implicit.** A finite upper bound is handled
 //!   by the ratio test (a nonbasic variable can sit at *either* bound and a
 //!   pivot can be a pure *bound flip*), so box constraints on offsets no
@@ -76,13 +80,8 @@ const PRICE_TOL: f64 = 1e-9;
 const PIVOT_TOL: f64 = 1e-8;
 /// Degenerate-pivot streak after which Bland's rule takes over.
 const BLAND_AFTER: usize = 40;
-/// Refactorise after this many *pivot* updates accumulate on top of the
-/// last reinversion. (For the eta kernel the reinversion itself contributes
-/// one eta per basis column, so the trigger counts etas *since* the rebuild
-/// — comparing the raw file length against a constant would refactorise on
-/// every pivot once `m` exceeds the interval, which is exactly the
-/// `O(m)`-per-pivot slowdown PR 8 removed. The LU kernel counts
-/// Forrest–Tomlin updates directly.)
+/// Refactorise after this many Forrest–Tomlin updates accumulate on top of
+/// the last reinversion.
 const REFACTOR_INTERVAL: usize = 64;
 /// A Devex weight above this triggers a reference-framework reset (all
 /// weights back to 1): the iterated estimates have drifted too far from
@@ -126,49 +125,15 @@ pub enum PricingRule {
     Dantzig,
 }
 
-/// Which basis-inverse representation the revised simplex maintains.
-/// Configured per problem via [`Problem::set_kernel`]; the default is
-/// [`Kernel::SparseLu`].
-///
-/// Both kernels implement the same FTRAN/BTRAN contract and are driven by
-/// the identical pivoting loop, so they visit the same vertices up to
-/// floating-point rounding; the A/B lock in the `phases` test-suite holds
-/// them to bitwise-identical *plans*. They differ in cost per pivot: the
-/// eta file pays a dense `O(m · etas)` sweep, the LU kernel works on the
-/// right-hand side's support.
-///
-/// ```
-/// use lp::{Kernel, Problem, Relation};
-/// let mut p = Problem::new();
-/// let x = p.add_nonneg_var("x", 2.0);
-/// p.add_constraint(vec![(x, 1.0)], Relation::Ge, 4.0);
-/// let sparse = p.solve().unwrap(); // sparse LU is the default kernel
-/// p.set_kernel(Kernel::EtaFile); // historical kernel kept for A/B locks
-/// let eta = p.solve().unwrap();
-/// assert!((sparse.objective - eta.objective).abs() < 1e-9);
-/// assert_eq!(p.kernel(), Kernel::EtaFile);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// Sparse LU factorisation with Forrest–Tomlin updates and hypersparse
-    /// FTRAN/BTRAN. The default.
-    #[default]
-    SparseLu,
-    /// The historical product-form eta file over a ±1 start diagonal,
-    /// rebuilt from scratch at every reinversion. Kept for plan-identity
-    /// A/B comparisons and the e24 experiment.
-    EtaFile,
-}
-
 /// The final basis of a solve, reusable as the starting point of another
 /// solve over the same constraint rows and variables
 /// ([`solve_with_start`]). Opaque: rows are encoded structurally (a
 /// structural/slack column index, or "this row's artificial") so the
 /// snapshot is valid for any problem with identical shape — in particular
 /// a branch-and-bound child whose only difference is a tightened bound.
-/// When the solve ran on the LU kernel the snapshot also carries the final
-/// factorisation, which a warm-started child installs directly instead of
-/// refactorising the very basis its parent just factorised.
+/// The snapshot also carries the final LU factorisation, which a
+/// warm-started child installs directly instead of refactorising the very
+/// basis its parent just factorised.
 #[derive(Debug, Clone)]
 pub struct BasisSnapshot {
     /// Rows of the snapshot's problem.
@@ -182,132 +147,8 @@ pub struct BasisSnapshot {
     x: Vec<f64>,
     /// ±1 seed diagonal (artificial signs) of the factorisation.
     sign: Vec<f64>,
-    /// The LU factorisation of the final basis (LU kernel only).
+    /// The LU factorisation of the final basis (`None` if never factorised).
     lu: Option<LuFactor>,
-}
-
-/// One product-form update: `B_new = B_old · E` where `E` is the identity
-/// with column `row` replaced by `d = B_old⁻¹ a_entering`.
-struct Eta {
-    row: usize,
-    /// Nonzero entries of `d` (sparse: degenerate alignment columns touch
-    /// few rows).
-    d: Vec<(usize, f64)>,
-    /// `d[row]`, kept separately because every solve divides by it.
-    pivot: f64,
-}
-
-/// The historical kernel: an eta file over the ±1 start diagonal. Kept
-/// bit-for-bit compatible with the pre-LU solver so [`Kernel::EtaFile`]
-/// runs reproduce the committed plans exactly.
-struct EtaFile {
-    /// Eta file since the last refactorisation.
-    etas: Vec<Eta>,
-    /// Eta-file length at which the next reinversion fires (the last
-    /// rebuild's length plus [`REFACTOR_INTERVAL`]).
-    next_refactor: usize,
-}
-
-impl EtaFile {
-    /// `B⁻¹ v` in place (dense).
-    fn ftran_dense(&self, sign: &[f64], v: &mut [f64]) {
-        for (vi, s) in v.iter_mut().zip(sign) {
-            *vi *= s;
-        }
-        for eta in &self.etas {
-            let vr = v[eta.row] / eta.pivot;
-            if vr == 0.0 {
-                continue;
-            }
-            for &(i, di) in &eta.d {
-                v[i] -= di * vr;
-            }
-            v[eta.row] = vr;
-        }
-    }
-
-    /// `B⁻ᵀ c` in place (dense).
-    fn btran_dense(&self, sign: &[f64], c: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            let mut dot = 0.0;
-            for &(i, di) in &eta.d {
-                dot += di * c[i];
-            }
-            c[eta.row] = (c[eta.row] - dot) / eta.pivot;
-        }
-        for (ci, s) in c.iter_mut().zip(sign) {
-            *ci *= s;
-        }
-    }
-
-    /// Append the eta for a pivot on `row` with direction vector `d`
-    /// (`d = B⁻¹ a_entering`, already computed by the caller).
-    fn push_eta(&mut self, row: usize, d: &[f64]) {
-        let pivot = d[row];
-        debug_assert!(pivot.abs() > EPS, "pivot element too small");
-        let sparse: Vec<(usize, f64)> = d
-            .iter()
-            .enumerate()
-            .filter(|&(i, &di)| i != row && di != 0.0)
-            .map(|(i, &di)| (i, di))
-            .collect();
-        self.etas.push(Eta {
-            row,
-            d: sparse,
-            pivot,
-        });
-    }
-
-    /// Rebuild the eta file from the current basis columns (reinversion).
-    /// The basis-to-row assignment may be permuted for stability. Returns
-    /// `false` (old file restored, basis untouched) if the basis has become
-    /// numerically singular.
-    fn refactorize(&mut self, csc: &CscMatrix, sign: &[f64], basis: &mut [usize]) -> bool {
-        let m = csc.m();
-        let old_etas = std::mem::take(&mut self.etas);
-        let mut row_taken = vec![false; m];
-        let mut new_basis = vec![usize::MAX; m];
-        // Unit (slack/artificial) columns first: they keep the file sparse.
-        let mut order: Vec<usize> = basis.to_vec();
-        order.sort_by_key(|&j| (csc.col_nnz(j), j));
-        for j in order {
-            let mut d = vec![0.0; m];
-            let (rows, vals) = csc.col(j);
-            for (&i, &a) in rows.iter().zip(vals) {
-                d[i] = a;
-            }
-            self.ftran_dense(sign, &mut d);
-            let mut best: Option<usize> = None;
-            for (i, taken) in row_taken.iter().enumerate() {
-                if !taken && d[i].abs() > PIVOT_TOL {
-                    let better = best.is_none_or(|b| d[i].abs() > d[b].abs());
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            let Some(r) = best else {
-                self.etas = old_etas;
-                return false;
-            };
-            self.push_eta(r, &d);
-            row_taken[r] = true;
-            new_basis[r] = j;
-        }
-        basis.copy_from_slice(&new_basis);
-        self.next_refactor = self.etas.len() + REFACTOR_INTERVAL;
-        true
-    }
-}
-
-/// The live basis-inverse representation behind [`Kernel`].
-// One of these exists per solver and every FTRAN/BTRAN goes through the
-// match; the size asymmetry (the LU variant carries its workspaces inline)
-// is not worth a Box's pointer chase on that path.
-#[allow(clippy::large_enum_variant)]
-enum FactorKernel {
-    Lu(LuFactor),
-    Eta(EtaFile),
 }
 
 /// The solver working state over the standard-form columns
@@ -329,10 +170,10 @@ struct Revised {
     /// Column basic in each row.
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    /// Sign of the artificial start basis (`B₀ = diag(sign)`; the LU
-    /// kernel reads the signs through the artificial columns instead).
+    /// Sign of each row's artificial column (the factorisation reads the
+    /// signs through the artificial columns themselves).
     sign: Vec<f64>,
-    factor: FactorKernel,
+    factor: LuFactor,
     /// First artificial column index.
     art0: usize,
 }
@@ -360,18 +201,10 @@ impl Revised {
         in_basis: Vec<bool>,
         sign: Vec<f64>,
         art0: usize,
-        kernel: Kernel,
     ) -> Revised {
         let _span = trace::span("lp.assemble");
         let csc = CscMatrix::from_cols(m, &cols);
         let csr = CsrIndex::build(&csc, art0);
-        let factor = match kernel {
-            Kernel::SparseLu => FactorKernel::Lu(LuFactor::new(m)),
-            Kernel::EtaFile => FactorKernel::Eta(EtaFile {
-                etas: Vec::new(),
-                next_refactor: 0,
-            }),
-        };
         Revised {
             m,
             csc,
@@ -383,81 +216,38 @@ impl Revised {
             basis,
             in_basis,
             sign,
-            factor,
+            factor: LuFactor::new(m),
             art0,
         }
     }
 
-    /// `out = B⁻¹ a_j` (slot-indexed; support sorted ascending). On the LU
-    /// kernel this also caches the Forrest–Tomlin spike, so the FTRAN of
-    /// the entering column must immediately precede [`Self::apply_pivot`].
+    /// `out = B⁻¹ a_j` (slot-indexed; support sorted ascending). This also
+    /// caches the Forrest–Tomlin spike, so the FTRAN of the entering column
+    /// must immediately precede the factorisation update of its pivot (a
+    /// rejected update, `false`, means the caller must refactorise).
     fn ftran_col(&mut self, j: usize, out: &mut IndexedVec) {
         let _span = trace::span("lp.ftran");
-        match &mut self.factor {
-            FactorKernel::Lu(f) => f.ftran_col(&self.csc, j, out),
-            FactorKernel::Eta(f) => {
-                out.reset_dense();
-                let v = out.values_mut();
-                let (rows, vals) = self.csc.col(j);
-                for (&i, &a) in rows.iter().zip(vals) {
-                    v[i] = a;
-                }
-                f.ftran_dense(&self.sign, v);
-                trace::count("lp.ftran.dense", 1);
-            }
-        }
+        self.factor.ftran_col(&self.csc, j, out);
     }
 
     /// Dense pricing BTRAN: `y = B⁻ᵀ cb` where `cb[i]` is the cost of the
     /// column basic in slot `i`.
     fn btran_costs(&mut self, cb: &[f64], y: &mut [f64]) {
         let _span = trace::span("lp.btran");
-        match &mut self.factor {
-            FactorKernel::Lu(f) => f.btran_costs(cb, y),
-            FactorKernel::Eta(f) => {
-                y.copy_from_slice(cb);
-                f.btran_dense(&self.sign, y);
-            }
-        }
+        self.factor.btran_costs(cb, y);
     }
 
     /// Sparse `rho = B⁻ᵀ e_r` (the pivot row of the inverse), used by the
     /// Devex weight update.
     fn btran_unit(&mut self, r: usize, rho: &mut IndexedVec) {
         let _span = trace::span("lp.btran");
-        match &mut self.factor {
-            FactorKernel::Lu(f) => f.btran_unit(r, rho),
-            FactorKernel::Eta(f) => {
-                rho.reset_dense();
-                let v = rho.values_mut();
-                v[r] = 1.0;
-                f.btran_dense(&self.sign, v);
-            }
-        }
+        self.factor.btran_unit(r, rho);
     }
 
-    /// Has the kernel accumulated enough pivot updates to warrant a
-    /// reinversion?
+    /// Has the factorisation accumulated enough Forrest–Tomlin updates to
+    /// warrant a reinversion?
     fn needs_refactor(&self) -> bool {
-        match &self.factor {
-            FactorKernel::Lu(f) => f.updates() >= REFACTOR_INTERVAL,
-            FactorKernel::Eta(f) => f.etas.len() >= f.next_refactor,
-        }
-    }
-
-    /// Absorb the pivot on slot `r` into the kernel: a Forrest–Tomlin
-    /// update (LU) or an appended eta (eta file). The caller has already
-    /// updated `basis`/`x`; `d` is the entering column's FTRAN. A `false`
-    /// return means the update was rejected (too small a new diagonal) and
-    /// the caller must refactorise.
-    fn apply_pivot(&mut self, r: usize, d: &IndexedVec) -> bool {
-        match &mut self.factor {
-            FactorKernel::Lu(f) => f.update(r),
-            FactorKernel::Eta(f) => {
-                f.push_eta(r, d.values());
-                true
-            }
-        }
+        self.factor.updates() >= REFACTOR_INTERVAL
     }
 
     /// Recompute the basic values `x_B = B⁻¹ (b − N x_N)` from scratch.
@@ -472,36 +262,22 @@ impl Revised {
                 r[i] -= a * self.x[j];
             }
         }
-        match &mut self.factor {
-            FactorKernel::Eta(f) => {
-                f.ftran_dense(&self.sign, &mut r);
-                for (i, &bi) in self.basis.iter().enumerate() {
-                    self.x[bi] = r[i];
-                }
-            }
-            FactorKernel::Lu(f) => {
-                let mut out = vec![0.0; self.m];
-                f.solve_dense(&mut r, &mut out);
-                for (i, &bi) in self.basis.iter().enumerate() {
-                    self.x[bi] = out[i];
-                }
-            }
+        let mut out = vec![0.0; self.m];
+        self.factor.solve_dense(&mut r, &mut out);
+        for (i, &bi) in self.basis.iter().enumerate() {
+            self.x[bi] = out[i];
         }
     }
 
-    /// Rebuild the kernel from the current basis columns (reinversion).
-    /// Returns `false` if the basis has become numerically singular (every
-    /// basis reached by exact pivots is nonsingular, so this only flags
-    /// rounding damage or a near-zero pivot; the simplex loop rolls the
-    /// offending pivot back where it can, see the module docs).
+    /// Rebuild the factorisation from the current basis columns
+    /// (reinversion). Returns `false` if the basis has become numerically
+    /// singular (every basis reached by exact pivots is nonsingular, so this
+    /// only flags rounding damage or a near-zero pivot; the simplex loop
+    /// rolls the offending pivot back where it can, see the module docs).
     fn refactorize(&mut self) -> bool {
         trace::count("lp.refactorisations", 1);
         let _span = trace::span("lp.factor");
-        let ok = match &mut self.factor {
-            FactorKernel::Lu(f) => f.factor(&self.csc, &self.basis),
-            FactorKernel::Eta(f) => f.refactorize(&self.csc, &self.sign, &mut self.basis),
-        };
-        if !ok {
+        if !self.factor.factor(&self.csc, &self.basis) {
             return false;
         }
         self.recompute_basics();
@@ -552,7 +328,7 @@ impl Revised {
         // outcome is unchanged, it just stops running when it provably
         // cannot trigger.
         let mut wcap = 1.0f64;
-        // Per-run workspaces, reused across pivots (the historical kernel
+        // Per-run workspaces, reused across pivots (the historical solver
         // allocated fresh dense vectors on every iteration).
         let mut cb = vec![0.0f64; self.m];
         let mut y = vec![0.0f64; self.m];
@@ -630,7 +406,12 @@ impl Revised {
                     *ci = cost[j];
                 }
                 self.btran_costs(&cb, &mut y);
+                // A basic column's reduced cost is never read while it
+                // stays basic, and is reassigned when it leaves.
                 for (j, cj) in cbar.iter_mut().enumerate() {
+                    if self.in_basis[j] {
+                        continue;
+                    }
                     let mut c = cost[j];
                     let (rows, vals) = self.csc.col(j);
                     for (&i, &a) in rows.iter().zip(vals) {
@@ -901,7 +682,7 @@ impl Revised {
                     self.in_basis[leave] = false;
                     self.in_basis[q] = true;
                     self.basis[r] = q;
-                    if !self.apply_pivot(r, &d) {
+                    if !self.factor.update(r) {
                         if !self.refactorize() {
                             // The new basis is numerically singular. The
                             // previous one was factorised a pivot ago, so
@@ -1143,7 +924,7 @@ impl Revised {
             self.in_basis[p] = false;
             self.in_basis[q] = true;
             self.basis[r] = q;
-            if !self.apply_pivot(r, &d) && !self.refactorize() {
+            if !self.factor.update(r) && !self.refactorize() {
                 return false;
             }
         }
@@ -1174,7 +955,7 @@ impl Revised {
                     self.x[art] = 0.0;
                     self.in_basis[j] = true;
                     self.basis[r] = j;
-                    if !self.apply_pivot(r, &d) && !self.refactorize() {
+                    if !self.factor.update(r) && !self.refactorize() {
                         // Numerically unusable replacement: restore the
                         // artificial (the kernel still matches the old
                         // basis) and stop driving out.
@@ -1190,23 +971,22 @@ impl Revised {
         }
     }
 
-    /// The reusable snapshot of the current basis (see [`BasisSnapshot`]).
-    fn snapshot(&self) -> BasisSnapshot {
-        let lu = match &self.factor {
-            FactorKernel::Lu(f) if f.updates() != usize::MAX => Some(f.clone()),
-            _ => None,
-        };
+    /// The reusable snapshot of the final basis (see [`BasisSnapshot`]).
+    /// Consumes the solver so the factorisation moves instead of copying.
+    fn into_snapshot(mut self) -> BasisSnapshot {
+        let art0 = self.art0;
+        self.x.truncate(art0);
         BasisSnapshot {
             m: self.m,
-            art0: self.art0,
+            art0,
             rows: self
                 .basis
                 .iter()
-                .map(|&j| if j >= self.art0 { -1 } else { j as i64 })
+                .map(|&j| if j >= art0 { -1 } else { j as i64 })
                 .collect(),
-            x: self.x[..self.art0].to_vec(),
-            sign: self.sign.clone(),
-            lu,
+            x: self.x,
+            sign: self.sign,
+            lu: (self.factor.updates() != usize::MAX).then_some(self.factor),
         }
     }
 }
@@ -1226,15 +1006,15 @@ pub struct KernelBench {
 }
 
 impl KernelBench {
-    /// Solve `problem` and park a fresh solver of the chosen kernel at the
-    /// final basis. `None` when the problem has no optimum, no rows, or no
-    /// structural columns to sweep.
-    pub fn prepare(problem: &Problem, kernel: Kernel) -> Option<KernelBench> {
+    /// Solve `problem` and park a fresh solver at the final basis. `None`
+    /// when the problem has no optimum, no rows, or no structural columns
+    /// to sweep.
+    pub fn prepare(problem: &Problem) -> Option<KernelBench> {
         let (_, snap) = solve_with_start(problem, None).ok()?;
         if snap.m == 0 {
             return None;
         }
-        let mut rev = warm_start(standard_form(problem), &snap, kernel)?;
+        let mut rev = warm_start(standard_form(problem), &snap)?;
         if !rev.refactorize() {
             return None;
         }
@@ -1386,7 +1166,7 @@ fn standard_form(problem: &Problem) -> Standard {
 }
 
 /// Build the solver state from a crash basis (the cold path).
-fn cold_start(sf: Standard, kernel: Kernel) -> Revised {
+fn cold_start(sf: Standard) -> Revised {
     let _span = trace::span("lp.crash");
     let Standard {
         m,
@@ -1531,19 +1311,17 @@ fn cold_start(sf: Standard, kernel: Kernel) -> Revised {
         in_basis[j] = true;
     }
 
-    Revised::assemble(
-        m, cols, b, lower, upper, x, basis, in_basis, sign, art0, kernel,
-    )
+    Revised::assemble(m, cols, b, lower, upper, x, basis, in_basis, sign, art0)
 }
 
 /// Assemble a child solver on the parent's final basis: snapshot fit
 /// check, bound clamping of the nonbasic start point, artificial columns
-/// signed as in the parent factorisation, and — on the LU kernel — direct
-/// installation of the parent's factor (the child's constraint matrix is
-/// identical, so the parent's factorisation of this very basis is exact).
+/// signed as in the parent factorisation, and direct installation of the
+/// parent's factor (the child's constraint matrix is identical, so the
+/// parent's factorisation of this very basis is exact).
 /// Returns the solver plus whether the factor was handed over. Shared by
 /// the evicting [`warm_start`] and the dual-repair [`dual_warm_start`].
-fn install_snapshot(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Option<(Revised, bool)> {
+fn install_snapshot(sf: Standard, snap: &BasisSnapshot) -> Option<(Revised, bool)> {
     let Standard {
         m,
         n: _,
@@ -1599,17 +1377,15 @@ fn install_snapshot(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Optio
         in_basis[j] = true;
     }
 
-    let mut solver = Revised::assemble(
-        m, cols, b, lower, upper, x, basis, in_basis, sign, art0, kernel,
-    );
+    let mut solver = Revised::assemble(m, cols, b, lower, upper, x, basis, in_basis, sign, art0);
 
-    let mut installed = false;
-    if kernel == Kernel::SparseLu {
-        if let (FactorKernel::Lu(f), Some(lu)) = (&mut solver.factor, &snap.lu) {
-            *f = lu.clone();
-            installed = true;
+    let installed = match &snap.lu {
+        Some(lu) => {
+            solver.factor = lu.clone();
+            true
         }
-    }
+        None => false,
+    };
     Some((solver, installed))
 }
 
@@ -1618,8 +1394,8 @@ fn install_snapshot(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Optio
 /// in place, pivoting against the dual ratio test instead of re-running
 /// phase 1. Returns `None` when the snapshot does not fit or the parent
 /// basis cannot be factorised — the caller falls back to [`warm_start`].
-fn dual_warm_start(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Option<Revised> {
-    let (mut solver, installed) = install_snapshot(sf, snap, kernel)?;
+fn dual_warm_start(sf: Standard, snap: &BasisSnapshot) -> Option<Revised> {
+    let (mut solver, installed) = install_snapshot(sf, snap)?;
     if installed {
         solver.recompute_basics();
     } else if !solver.refactorize() {
@@ -1640,11 +1416,11 @@ fn dual_warm_start(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Option
 /// need evicting and phase 1 is a handful of pivots — against the dozens a
 /// cold crash start would pay.
 ///
-/// On the LU kernel the snapshot's factorisation is installed directly —
-/// the child's constraint matrix is identical, so the parent's factor is
-/// exact and the first reinversion is skipped entirely.
-fn warm_start(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Option<Revised> {
-    let (mut solver, installed) = install_snapshot(sf, snap, kernel)?;
+/// The snapshot's factorisation is installed directly — the child's
+/// constraint matrix is identical, so the parent's factor is exact and the
+/// first reinversion is skipped entirely.
+fn warm_start(sf: Standard, snap: &BasisSnapshot) -> Option<Revised> {
+    let (mut solver, installed) = install_snapshot(sf, snap)?;
 
     // Factorise the parent basis (or reuse the handed-over factor) and
     // derive basic values; then evict any basic variable the tightened
@@ -1740,7 +1516,6 @@ pub fn solve_with_start(
     }
 
     let rule = problem.pricing();
-    let kernel = problem.kernel();
 
     // Dual warm path, tried first: install the parent basis *untouched*
     // and let the dual simplex repair the bound-flipped basics in place.
@@ -1751,7 +1526,7 @@ pub fn solve_with_start(
     // child — falls through to the evicting warm path, then cold.
     let mut dual_repaired: Option<Revised> = None;
     if let Some(snap) = warm {
-        if let Some(mut s) = dual_warm_start(standard_form(problem), snap, kernel) {
+        if let Some(mut s) = dual_warm_start(standard_form(problem), snap) {
             let ncols = s.csc.ncols();
             // Artificials are fixed at zero up front: the repair must
             // never grow one, and a basic artificial pushed off zero by
@@ -1777,7 +1552,7 @@ pub fn solve_with_start(
     let dual_warm = dual_repaired.is_some();
     let (mut solver, warm_started) = match dual_repaired {
         Some(solver) => (solver, true),
-        None => match warm.and_then(|s| warm_start(standard_form(problem), s, kernel)) {
+        None => match warm.and_then(|s| warm_start(standard_form(problem), s)) {
             Some(solver) => {
                 trace::count("lp.warm_starts", 1);
                 (solver, true)
@@ -1786,7 +1561,7 @@ pub fn solve_with_start(
                 if warm.is_some() {
                     trace::count("lp.warm_fallbacks", 1);
                 }
-                let mut solver = cold_start(standard_form(problem), kernel);
+                let mut solver = cold_start(standard_form(problem));
                 // The crash basis mixes slack, structural and artificial
                 // columns, so it is not the ±1 diagonal any more; factorise it
                 // once up front (the diagonal stays as the factorisation seed)
@@ -1871,7 +1646,7 @@ pub fn solve_with_start(
 
     let values: Vec<f64> = solver.x[..n].to_vec();
     let objective = problem.eval_objective(&values);
-    let snapshot = solver.snapshot();
+    let snapshot = solver.into_snapshot();
     Ok((Solution { values, objective }, snapshot))
 }
 #[cfg(test)]
@@ -2069,8 +1844,8 @@ mod tests {
 
     #[test]
     fn many_pivots_trigger_refactorisation() {
-        // A chain of coupled rows long enough to push the eta file past the
-        // refactorisation interval.
+        // A chain of coupled rows long enough to push the Forrest–Tomlin
+        // update count past the refactorisation interval.
         let n = 150;
         let mut p = Problem::new();
         let vars: Vec<_> = (0..n)
@@ -2085,12 +1860,11 @@ mod tests {
 
     #[test]
     fn refactorisation_cadence_is_per_pivot_not_per_file_length() {
-        // On a problem with more rows than REFACTOR_INTERVAL the eta file is
-        // longer than the interval immediately after every reinversion; the
-        // trigger must count etas *since* the rebuild, not the raw length —
-        // otherwise every pivot refactorises and the solver degrades to
-        // O(m²) per pivot. Locked by counters: refactorisations must stay
-        // well below the pivot count.
+        // On a problem with more rows than REFACTOR_INTERVAL the trigger
+        // must count updates *since* the last reinversion, not anything that
+        // scales with `m` — otherwise every pivot refactorises and the
+        // solver degrades to O(m²) per pivot. Locked by counters:
+        // refactorisations must stay well below the pivot count.
         trace::reset();
         let n = 150;
         let mut p = Problem::new();
@@ -2287,82 +2061,6 @@ mod tests {
         assert_eq!(trace::counter("lp.warm_fallbacks"), 1);
         trace::reset();
         assert!(q.is_feasible(&s.values, 1e-6));
-    }
-
-    /// A batch of random LPs mixing inequality shapes, bounds and empty
-    /// columns, solved with both kernels.
-    fn random_problem(seed: u64, kernel: Kernel) -> Problem {
-        let n = 25;
-        let m = 18;
-        let mut p = Problem::new();
-        let mut state = seed | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let vars: Vec<_> = (0..n)
-            .map(|i| {
-                let c = (next() % 9) as f64 - 2.0;
-                if i % 5 == 4 {
-                    p.add_var(format!("x{i}"), 0.0, 3.0, c.abs())
-                } else {
-                    p.add_nonneg_var(format!("x{i}"), c.abs() + 0.1)
-                }
-            })
-            .collect();
-        for r in 0..m {
-            // Sparse rows: 2-4 terms each, occasionally duplicated.
-            let k = 2 + (next() % 3) as usize;
-            let mut terms = Vec::new();
-            for _ in 0..k {
-                let v = vars[(next() % n as u64) as usize];
-                terms.push((v, (next() % 7) as f64 - 3.0));
-            }
-            let rel = match r % 3 {
-                0 => Relation::Ge,
-                1 => Relation::Le,
-                _ => Relation::Eq,
-            };
-            let lhs_at_one: f64 = terms.iter().map(|&(_, a)| a).sum();
-            let rhs = match rel {
-                Relation::Ge => -lhs_at_one.abs() - 1.0,
-                Relation::Le => lhs_at_one.abs() + 1.0,
-                Relation::Eq => 0.0,
-            };
-            p.add_constraint(terms, rel, rhs);
-        }
-        p.set_kernel(kernel);
-        p
-    }
-
-    #[test]
-    fn both_kernels_agree_on_random_problems() {
-        for seed in [3, 17, 91, 254, 7777, 120451] {
-            let pa = random_problem(seed, Kernel::SparseLu);
-            let pb = random_problem(seed, Kernel::EtaFile);
-            match (solve(&pa), solve(&pb)) {
-                (Ok(sa), Ok(sb)) => {
-                    assert!(
-                        pa.is_feasible(&sa.values, 1e-5),
-                        "seed {seed}: lu infeasible"
-                    );
-                    assert!(
-                        pb.is_feasible(&sb.values, 1e-5),
-                        "seed {seed}: eta infeasible"
-                    );
-                    assert!(
-                        (sa.objective - sb.objective).abs() < 1e-5 * (1.0 + sb.objective.abs()),
-                        "seed {seed}: objectives differ ({} vs {})",
-                        sa.objective,
-                        sb.objective
-                    );
-                }
-                (Err(ea), Err(eb)) => assert_eq!(ea, eb, "seed {seed}"),
-                (a, b) => panic!("seed {seed}: kernels disagree on solvability ({a:?} vs {b:?})"),
-            }
-        }
     }
 
     #[test]

@@ -143,15 +143,6 @@ impl IndexedVec {
         self.touched.clear();
     }
 
-    /// Clear, then mark the whole index range as support (ascending). Used
-    /// by the dense fallback paths: values may then be written directly
-    /// through [`values_mut`](Self::values_mut).
-    pub fn reset_dense(&mut self) {
-        self.clear();
-        self.touched.extend(0..self.vals.len());
-        self.mark.fill(true);
-    }
-
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
         self.vals[i]
@@ -179,17 +170,31 @@ impl IndexedVec {
         &self.touched
     }
 
-    pub fn sort_support(&mut self) {
-        self.touched.sort_unstable();
+    /// Write `v` at `i` and mark it, without recording `i` in the support
+    /// list. A run of these must end with
+    /// [`rebuild_support`](Self::rebuild_support) before the support is read
+    /// or the vector is cleared.
+    #[inline]
+    pub fn set_deferred(&mut self, i: usize, v: f64) {
+        self.mark[i] = true;
+        self.vals[i] = v;
     }
 
-    pub fn values(&self) -> &[f64] {
-        &self.vals
+    /// Rebuild the support list from the marks, in ascending index order:
+    /// one scan over the marks instead of recording every write and sorting.
+    pub fn rebuild_support(&mut self) {
+        self.touched.clear();
+        self.touched.extend(
+            self.mark
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &marked)| marked.then_some(i)),
+        );
     }
 
-    /// Raw value access for dense passes. Contract: only entries currently
-    /// in the support may be made nonzero (use [`reset_dense`](Self::reset_dense)
-    /// first when the whole range will be written).
+    /// Raw value access for dense passes. Contract: every nonzero written
+    /// outside the support must be zeroed again before the vector is
+    /// cleared.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.vals
     }
@@ -245,12 +250,15 @@ mod tests {
         assert_eq!(v.support(), &[3, 1]);
         assert_eq!(v.get(3), 0.0);
         assert_eq!(v.get(1), -1.0);
-        v.sort_support();
-        assert_eq!(v.support(), &[1, 3]);
+        v.set_deferred(4, 5.0);
+        v.set_deferred(0, 1.0);
+        v.rebuild_support();
+        assert_eq!(v.support(), &[0, 1, 3, 4]);
         v.clear();
         assert!(v.support().is_empty());
-        assert_eq!(v.values(), &[0.0; 5]);
-        v.reset_dense();
-        assert_eq!(v.support(), &[0, 1, 2, 3, 4]);
+        assert!((0..5).all(|i| v.get(i) == 0.0));
+        v.set_deferred(2, 1.0);
+        v.rebuild_support();
+        assert_eq!(v.support(), &[2]);
     }
 }

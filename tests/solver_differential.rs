@@ -322,21 +322,6 @@ fn revised_and_tableau_agree_on_sparse_stressing_lps() {
         if let Err(e) = check_agreement(seed, &p) {
             failures.push(e);
         }
-        // Both basis-inverse kernels must produce the same outcome — the
-        // kernel changes how the basis inverse is applied, never the
-        // pivoting decisions.
-        let mut eta = p.clone();
-        eta.set_kernel(lp::Kernel::EtaFile);
-        match (outcome(p.solve()), outcome(eta.solve())) {
-            (Outcome::Failed, _) | (_, Outcome::Failed) => {}
-            (Outcome::Optimal(x), Outcome::Optimal(y)) => {
-                if (x - y).abs() > 1e-6 * (1.0 + x.abs().max(y.abs())) {
-                    failures.push(format!("seed {seed}: kernels disagree: {x} vs {y}"));
-                }
-            }
-            (x, y) if x == y => {}
-            (x, y) => failures.push(format!("seed {seed}: kernel status {x:?} vs {y:?}")),
-        }
     }
     assert!(
         failures.is_empty(),
