@@ -17,17 +17,16 @@
 //! instead of explicit rows, the entering column is chosen by a configurable
 //! [`PricingRule`] (Devex by default, Dantzig as fallback — see
 //! [`Problem::set_pricing`]), and Bland's rule takes over as an
-//! anti-cycling fallback after a run of degenerate pivots. Solves can
-//! resume from a previous solve's basis ([`solve_with_start`]); the
-//! branch-and-bound wrapper ([`solve_milp`]) uses this so child nodes
-//! warm-start from their parent's vertex instead of re-running the
-//! two-phase method. The original dense two-phase tableau simplex
-//! ([`simplex`]) is retained as a differential-testing oracle behind
-//! [`Problem::solve_tableau`], and as a last-resort fallback when the
-//! revised solver reports numerical failure. Both are designed for the
-//! problem sizes the alignment phase produces (a handful of variables per
-//! port plus one surrogate variable per edge-subrange — hundreds to a few
-//! thousand variables), not for industrial LPs.
+//! anti-cycling fallback after a run of degenerate pivots. Every solve
+//! starts cold from a crash basis and runs the two-phase method; integrality
+//! is never enforced, the callers round the LP optimum. The original dense
+//! two-phase tableau simplex ([`simplex`]) is retained as a
+//! differential-testing oracle behind [`Problem::solve_tableau`], and as a
+//! last-resort fallback when the revised solver reports numerical failure.
+//! Both are designed for the problem sizes the alignment phase produces (a
+//! handful of variables per port plus one surrogate variable per
+//! edge-subrange — hundreds to a few thousand variables), not for
+//! industrial LPs.
 //!
 //! # Example
 //!
@@ -46,7 +45,6 @@
 //! assert!((sol.objective - 4.0).abs() < 1e-7);
 //! ```
 
-pub mod branch_bound;
 mod factor;
 pub mod model;
 pub mod presolve;
@@ -54,11 +52,10 @@ pub mod revised;
 pub mod simplex;
 mod sparse;
 
-pub use branch_bound::{solve_milp, solve_milp_with};
 pub use model::{Problem, Relation, Solution, SolveError, VarId};
 #[doc(hidden)]
 pub use revised::KernelBench;
-pub use revised::{solve_with_start, BasisSnapshot, PricingRule};
+pub use revised::PricingRule;
 
 /// Numerical tolerance used throughout the solver.
 pub const EPS: f64 = 1e-9;

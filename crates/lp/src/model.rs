@@ -46,7 +46,6 @@ pub(crate) struct Variable {
     pub(crate) lower: f64,
     pub(crate) upper: f64,
     pub(crate) obj: f64,
-    pub(crate) integer: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -129,7 +128,6 @@ impl Problem {
             lower,
             upper,
             obj,
-            integer: false,
         });
         id
     }
@@ -146,17 +144,6 @@ impl Problem {
         self.add_var(name, 0.0, f64::INFINITY, obj)
     }
 
-    /// Mark a variable as integer for the branch-and-bound solver
-    /// ([`crate::solve_milp`]). The plain [`Problem::solve`] ignores the flag.
-    pub fn set_integer(&mut self, v: VarId) {
-        self.vars[v.0].integer = true;
-    }
-
-    /// True if the variable was marked integral.
-    pub fn is_integer(&self, v: VarId) -> bool {
-        self.vars[v.0].integer
-    }
-
     /// Change a variable's objective coefficient.
     pub fn set_objective(&mut self, v: VarId, obj: f64) {
         self.vars[v.0].obj = obj;
@@ -169,8 +156,8 @@ impl Problem {
 
     /// Select the simplex pricing rule ([`crate::PricingRule`]) used by
     /// every solve of this problem (and, via [`Clone`], of any problem
-    /// derived from it — branch-and-bound children inherit the rule). The
-    /// default is Devex; Dantzig is kept as the simple fallback.
+    /// derived from it). The default is Devex; Dantzig is kept as the
+    /// simple fallback.
     pub fn set_pricing(&mut self, rule: crate::revised::PricingRule) {
         self.pricing = rule;
     }
@@ -225,8 +212,7 @@ impl Problem {
         });
     }
 
-    /// Evaluate the objective at a candidate point (used by tests and by the
-    /// branch-and-bound wrapper).
+    /// Evaluate the objective at a candidate point.
     pub fn eval_objective(&self, values: &[f64]) -> f64 {
         self.vars.iter().zip(values).map(|(v, x)| v.obj * x).sum()
     }
@@ -324,13 +310,13 @@ impl Problem {
         })
     }
 
-    /// Solve the LP relaxation (integrality flags ignored): equality-chain
-    /// presolve first (the hard node constraints of the alignment RLPs are
-    /// mostly pairwise equalities, which would otherwise bloat and
-    /// destabilise the solver), then the bounded-variable revised simplex
-    /// ([`crate::revised`]) on what remains. The revised solver recovers
-    /// from a singular basis after a rejected update by rolling the pivot
-    /// back, so it only reports numerical failure (`IterationLimit`) when a
+    /// Solve the LP: equality-chain presolve first (the hard node
+    /// constraints of the alignment RLPs are mostly pairwise equalities,
+    /// which would otherwise bloat and destabilise the solver), then the
+    /// bounded-variable revised simplex ([`crate::revised`]) on what
+    /// remains. The revised solver recovers from a singular basis after a
+    /// rejected update by rolling the pivot back, so it only reports
+    /// numerical failure (`IterationLimit`) when a
     /// scheduled refactorisation finds the basis singular, a rollback's
     /// previous basis no longer factorises, phase 1 fails without an
     /// infeasibility certificate, or the iteration budget runs out. Those
@@ -400,15 +386,6 @@ mod tests {
     fn bad_bounds_panic() {
         let mut p = Problem::new();
         p.add_var("x", 1.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn integer_flag_roundtrip() {
-        let mut p = Problem::new();
-        let x = p.add_nonneg_var("x", 1.0);
-        assert!(!p.is_integer(x));
-        p.set_integer(x);
-        assert!(p.is_integer(x));
     }
 
     #[test]

@@ -61,13 +61,7 @@
 //! Phase 1 starts from a crash basis (slack / structural columns where the
 //! start residuals allow, signed artificials for the rest) and minimises
 //! the artificial sum; phase 2 fixes the artificials to zero and minimises
-//! the user objective over the surviving basis. A solve can also start from
-//! the final basis of a previous solve over the *same* rows and columns
-//! ([`solve_with_start`]): branch-and-bound children differ from their
-//! parent only in one variable's bounds, so resuming from the parent's
-//! factorised basis — the snapshot carries the parent's LU factorisation,
-//! which the child installs without refactorising — usually skips phase 1
-//! entirely.
+//! the user objective over the surviving basis.
 
 use crate::factor::LuFactor;
 use crate::model::{Problem, Relation, Solution, SolveError};
@@ -125,32 +119,6 @@ pub enum PricingRule {
     Dantzig,
 }
 
-/// The final basis of a solve, reusable as the starting point of another
-/// solve over the same constraint rows and variables
-/// ([`solve_with_start`]). Opaque: rows are encoded structurally (a
-/// structural/slack column index, or "this row's artificial") so the
-/// snapshot is valid for any problem with identical shape — in particular
-/// a branch-and-bound child whose only difference is a tightened bound.
-/// The snapshot also carries the final LU factorisation, which a
-/// warm-started child installs directly instead of refactorising the very
-/// basis its parent just factorised.
-#[derive(Debug, Clone)]
-pub struct BasisSnapshot {
-    /// Rows of the snapshot's problem.
-    m: usize,
-    /// Structural + slack column count (artificials start here).
-    art0: usize,
-    /// Basic column per row: `>= 0` is a structural/slack column index,
-    /// `-1` means the row's own artificial.
-    rows: Vec<i64>,
-    /// Values of every structural and slack column at the final vertex.
-    x: Vec<f64>,
-    /// ±1 seed diagonal (artificial signs) of the factorisation.
-    sign: Vec<f64>,
-    /// The LU factorisation of the final basis (`None` if never factorised).
-    lu: Option<LuFactor>,
-}
-
 /// The solver working state over the standard-form columns
 /// (structural | slack | artificial).
 struct Revised {
@@ -170,9 +138,6 @@ struct Revised {
     /// Column basic in each row.
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    /// Sign of each row's artificial column (the factorisation reads the
-    /// signs through the artificial columns themselves).
-    sign: Vec<f64>,
     factor: LuFactor,
     /// First artificial column index.
     art0: usize,
@@ -199,7 +164,6 @@ impl Revised {
         x: Vec<f64>,
         basis: Vec<usize>,
         in_basis: Vec<bool>,
-        sign: Vec<f64>,
         art0: usize,
     ) -> Revised {
         let _span = trace::span("lp.assemble");
@@ -215,7 +179,6 @@ impl Revised {
             b,
             basis,
             in_basis,
-            sign,
             factor: LuFactor::new(m),
             art0,
         }
@@ -737,200 +700,6 @@ impl Revised {
         RunResult::IterationLimit
     }
 
-    /// Dual-simplex repair: from a **dual-feasible** basis whose basic
-    /// values violate their (tightened) bounds, drive the most-infeasible
-    /// basic variable to its violated bound each iteration, choosing the
-    /// entering column by the dual ratio test so the reduced-cost signs —
-    /// and with them dual feasibility — are preserved. A branch-and-bound
-    /// child differs from its parent only by a flipped/tightened bound, so
-    /// the parent's optimal basis is dual-feasible for the child and this
-    /// repair replaces phase 1 entirely.
-    ///
-    /// Returns `true` when the basis is primal-feasible on exit (the
-    /// subsequent primal run then confirms optimality, usually in zero
-    /// pivots). Returns `false` — leaving the solver in an unspecified
-    /// state the caller must discard — when the start basis is not dual
-    /// feasible (e.g. the objective changed between solves), no eligible
-    /// entering column exists (the child is likely infeasible, but the
-    /// primal path is left to certify that), numerics degrade, or the
-    /// iteration budget runs out.
-    fn dual_run(&mut self, cost: &[f64], max_iters: usize) -> bool {
-        let feas_tol = 1e-7;
-        let dual_tol = 1e-7 * (1.0 + cost.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
-        let mut cb = vec![0.0f64; self.m];
-        let mut y = vec![0.0f64; self.m];
-        let mut d = IndexedVec::new(self.m);
-        let mut rho = IndexedVec::new(self.m);
-        let mut cand: Vec<usize> = Vec::new();
-        let mut cand_mark = vec![false; self.art0];
-        // Row alphas of every touched nonbasic column, kept for the
-        // incremental reduced-cost update after the pivot is chosen.
-        let mut alphas: Vec<(usize, f64)> = Vec::new();
-
-        // Reduced costs of the structural/slack columns, derived densely
-        // once and maintained incrementally across pivots (the dual step
-        // falls out of the same pivot-row BTRAN the ratio test needs).
-        let mut cbar = vec![0.0f64; self.art0];
-        for (ci, &j) in cb.iter_mut().zip(&self.basis) {
-            *ci = cost[j];
-        }
-        self.btran_costs(&cb, &mut y);
-        for (j, cj) in cbar.iter_mut().enumerate() {
-            let mut c = cost[j];
-            let (rows, vals) = self.csc.col(j);
-            for (&i, &a) in rows.iter().zip(vals) {
-                c -= y[i] * a;
-            }
-            *cj = c;
-        }
-        // The start basis must be dual-feasible; anything else means the
-        // parent/child relationship this repair relies on does not hold.
-        for (j, &cj) in cbar.iter().enumerate().take(self.art0) {
-            if self.in_basis[j] || self.upper[j] - self.lower[j] <= EPS {
-                continue;
-            }
-            let at_lower = self.x[j] <= self.lower[j] + EPS;
-            let at_upper = self.x[j] >= self.upper[j] - EPS;
-            let ok = if at_lower {
-                cj >= -dual_tol
-            } else if at_upper {
-                cj <= dual_tol
-            } else {
-                cj.abs() <= dual_tol
-            };
-            if !ok {
-                return false;
-            }
-        }
-
-        for _ in 0..max_iters {
-            if self.needs_refactor() && !self.refactorize() {
-                return false;
-            }
-            // Leaving row: the basic variable with the largest bound
-            // violation, driven to the bound it violates.
-            let mut leaving: Option<(usize, f64, bool)> = None; // (row, viol, above)
-            for r in 0..self.m {
-                let j = self.basis[r];
-                let below = self.lower[j] - self.x[j];
-                let above = self.x[j] - self.upper[j];
-                let (viol, is_above) = if above > below {
-                    (above, true)
-                } else {
-                    (below, false)
-                };
-                if viol > feas_tol && leaving.is_none_or(|(_, v, _)| viol > v) {
-                    leaving = Some((r, viol, is_above));
-                }
-            }
-            let Some((r, _, above)) = leaving else {
-                return true; // primal feasible, dual feasibility maintained
-            };
-            let p = self.basis[r];
-
-            // Dual ratio test over the pivot row. `sigma` orients the row
-            // so an eligible entering move pushes x_p back toward the
-            // violated bound; among eligible columns the smallest
-            // |reduced cost| / |alpha| preserves every cbar sign, with the
-            // largest |alpha| breaking ties for numerical stability.
-            self.btran_unit(r, &mut rho);
-            let sigma = if above { 1.0 } else { -1.0 };
-            for &i in rho.support() {
-                if rho.get(i) == 0.0 {
-                    continue;
-                }
-                for &j in self.csr.row(i) {
-                    if !cand_mark[j] {
-                        cand_mark[j] = true;
-                        cand.push(j);
-                    }
-                }
-            }
-            alphas.clear();
-            let mut entering: Option<(usize, f64, f64)> = None; // (col, alpha, ratio)
-            for &j in &cand {
-                cand_mark[j] = false;
-                if self.in_basis[j] {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                let (rows, vals) = self.csc.col(j);
-                for (&i, &a) in rows.iter().zip(vals) {
-                    alpha += rho.get(i) * a;
-                }
-                if alpha == 0.0 {
-                    continue;
-                }
-                alphas.push((j, alpha));
-                if alpha.abs() <= PIVOT_TOL || self.upper[j] - self.lower[j] <= EPS {
-                    continue;
-                }
-                let at_lower = self.x[j] <= self.lower[j] + EPS;
-                let at_upper = self.x[j] >= self.upper[j] - EPS;
-                let sa = sigma * alpha;
-                let eligible = if at_lower {
-                    sa > 0.0
-                } else if at_upper {
-                    sa < 0.0
-                } else {
-                    true // free nonbasic: cbar ≈ 0, enters at ratio ≈ 0
-                };
-                if !eligible {
-                    continue;
-                }
-                let ratio = (cbar[j] / sa).max(0.0);
-                let better = match entering {
-                    None => true,
-                    Some((_, ea, er)) => {
-                        ratio < er - EPS || (ratio <= er + EPS && alpha.abs() > ea.abs())
-                    }
-                };
-                if better {
-                    entering = Some((j, alpha, ratio));
-                }
-            }
-            cand.clear();
-            let Some((q, _, _)) = entering else {
-                return false;
-            };
-
-            // Pivot: the FTRAN of the entering column feeds both the basic
-            // value update and the factor update (FT spike contract).
-            self.ftran_col(q, &mut d);
-            let alpha_q = d.get(r);
-            if alpha_q.abs() <= PIVOT_TOL {
-                return false; // row/column views disagree — numerics gone
-            }
-            trace::count("lp.dual.pivots", 1);
-            let bound = if above { self.upper[p] } else { self.lower[p] };
-            let step = (self.x[p] - bound) / alpha_q;
-            let dual_step = cbar[q] / alpha_q;
-            for &(j, alpha) in &alphas {
-                cbar[j] -= dual_step * alpha;
-            }
-            cbar[q] = 0.0;
-            if p < self.art0 {
-                cbar[p] = -dual_step;
-            }
-            for &i in d.support() {
-                let di = d.get(i);
-                if di != 0.0 {
-                    let bi = self.basis[i];
-                    self.x[bi] -= step * di;
-                }
-            }
-            self.x[q] += step;
-            self.x[p] = bound;
-            self.in_basis[p] = false;
-            self.in_basis[q] = true;
-            self.basis[r] = q;
-            if !self.factor.update(r) && !self.refactorize() {
-                return false;
-            }
-        }
-        false
-    }
-
     /// Pivot zero-valued basic artificials out of the basis where a
     /// non-artificial column can replace them (post phase 1).
     fn drive_out_artificials(&mut self) {
@@ -970,25 +739,6 @@ impl Revised {
             }
         }
     }
-
-    /// The reusable snapshot of the final basis (see [`BasisSnapshot`]).
-    /// Consumes the solver so the factorisation moves instead of copying.
-    fn into_snapshot(mut self) -> BasisSnapshot {
-        let art0 = self.art0;
-        self.x.truncate(art0);
-        BasisSnapshot {
-            m: self.m,
-            art0,
-            rows: self
-                .basis
-                .iter()
-                .map(|&j| if j >= art0 { -1 } else { j as i64 })
-                .collect(),
-            x: self.x,
-            sign: self.sign,
-            lu: (self.factor.updates() != usize::MAX).then_some(self.factor),
-        }
-    }
 }
 
 /// Bench-harness hook: a solver parked at a problem's **optimal basis**, so
@@ -1006,15 +756,11 @@ pub struct KernelBench {
 }
 
 impl KernelBench {
-    /// Solve `problem` and park a fresh solver at the final basis. `None`
-    /// when the problem has no optimum, no rows, or no structural columns
-    /// to sweep.
+    /// Solve `problem` and keep the solver parked at its final basis.
+    /// `None` when the problem has no optimum, no rows, or no structural
+    /// columns to sweep.
     pub fn prepare(problem: &Problem) -> Option<KernelBench> {
-        let (_, snap) = solve_with_start(problem, None).ok()?;
-        if snap.m == 0 {
-            return None;
-        }
-        let mut rev = warm_start(standard_form(problem), &snap)?;
+        let mut rev = solve_parked(problem).ok()?.1?;
         if !rev.refactorize() {
             return None;
         }
@@ -1080,20 +826,10 @@ fn nearest_bound(lower: f64, upper: f64) -> f64 {
     }
 }
 
-/// Standard-form columns (structural | slack) before a start basis is
-/// chosen: shared between the cold (crash) and warm (snapshot) paths.
-struct Standard {
-    m: usize,
-    n: usize,
-    cols: Vec<Vec<(usize, f64)>>,
-    b: Vec<f64>,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    x: Vec<f64>,
-    slack_of_row: Vec<Option<usize>>,
-}
-
-fn standard_form(problem: &Problem) -> Standard {
+/// Build the solver state: the standard-form columns (structural | slack)
+/// of `problem`, then a crash basis over them with artificials for the
+/// rows the crash cannot make feasible.
+fn cold_start(problem: &Problem) -> Revised {
     let n = problem.vars.len();
     let m = problem.constraints.len();
 
@@ -1153,32 +889,7 @@ fn standard_form(problem: &Problem) -> Standard {
         x.push(0.0);
     }
 
-    Standard {
-        m,
-        n,
-        cols,
-        b,
-        lower,
-        upper,
-        x,
-        slack_of_row,
-    }
-}
-
-/// Build the solver state from a crash basis (the cold path).
-fn cold_start(sf: Standard) -> Revised {
     let _span = trace::span("lp.crash");
-    let Standard {
-        m,
-        n,
-        mut cols,
-        b,
-        mut lower,
-        mut upper,
-        mut x,
-        slack_of_row,
-    } = sf;
-
     // Crash basis from the residual of the nonbasic start point. Rows are
     // processed in order and each picks the cheapest basic column that makes
     // it feasible *now*:
@@ -1290,16 +1001,15 @@ fn cold_start(sf: Standard) -> Revised {
 
     // 3. Artificials for whatever is left.
     let art0 = cols.len();
-    let mut sign = vec![1.0; m];
     for r in 0..m {
         if basis[r] != usize::MAX {
             // The crash may have nudged a slack-crashed row's value; the
             // recompute below re-derives all basic values consistently.
             continue;
         }
-        sign[r] = if resid[r] < 0.0 { -1.0 } else { 1.0 };
+        let sign = if resid[r] < 0.0 { -1.0 } else { 1.0 };
         basis[r] = cols.len();
-        cols.push(vec![(r, sign[r])]);
+        cols.push(vec![(r, sign)]);
         lower.push(0.0);
         upper.push(f64::INFINITY);
         x.push(resid[r].abs());
@@ -1311,176 +1021,18 @@ fn cold_start(sf: Standard) -> Revised {
         in_basis[j] = true;
     }
 
-    Revised::assemble(m, cols, b, lower, upper, x, basis, in_basis, sign, art0)
-}
-
-/// Assemble a child solver on the parent's final basis: snapshot fit
-/// check, bound clamping of the nonbasic start point, artificial columns
-/// signed as in the parent factorisation, and direct installation of the
-/// parent's factor (the child's constraint matrix is identical, so the
-/// parent's factorisation of this very basis is exact).
-/// Returns the solver plus whether the factor was handed over. Shared by
-/// the evicting [`warm_start`] and the dual-repair [`dual_warm_start`].
-fn install_snapshot(sf: Standard, snap: &BasisSnapshot) -> Option<(Revised, bool)> {
-    let Standard {
-        m,
-        n: _,
-        mut cols,
-        b,
-        mut lower,
-        mut upper,
-        mut x,
-        slack_of_row: _,
-    } = sf;
-    let art0 = cols.len();
-    if snap.m != m || snap.art0 != art0 {
-        return None;
-    }
-
-    // Start every structural/slack column at its parent value, clamped into
-    // the (possibly tightened) child bounds.
-    for j in 0..art0 {
-        x[j] = snap.x[j].clamp(lower[j], upper[j]);
-        if !x[j].is_finite() {
-            return None;
-        }
-    }
-    // One artificial per row, signed as in the parent factorisation.
-    let mut sign = snap.sign.clone();
-    for (r, s) in sign.iter_mut().enumerate() {
-        if *s != 1.0 && *s != -1.0 {
-            *s = 1.0;
-        }
-        cols.push(vec![(r, *s)]);
-        lower.push(0.0);
-        upper.push(f64::INFINITY);
-        x.push(0.0);
-    }
-    let ncols = cols.len();
-
-    let mut basis = vec![usize::MAX; m];
-    let mut in_basis = vec![false; ncols];
-    for (r, &enc) in snap.rows.iter().enumerate() {
-        let j = if enc < 0 {
-            art0 + r
-        } else {
-            let j = enc as usize;
-            if j >= art0 {
-                return None;
-            }
-            j
-        };
-        if in_basis[j] {
-            return None;
-        }
-        basis[r] = j;
-        in_basis[j] = true;
-    }
-
-    let mut solver = Revised::assemble(m, cols, b, lower, upper, x, basis, in_basis, sign, art0);
-
-    let installed = match &snap.lu {
-        Some(lu) => {
-            solver.factor = lu.clone();
-            true
-        }
-        None => false,
-    };
-    Some((solver, installed))
-}
-
-/// Install the parent basis for a child *without* evicting bound-violating
-/// basic variables: the dual simplex ([`Revised::dual_run`]) repairs them
-/// in place, pivoting against the dual ratio test instead of re-running
-/// phase 1. Returns `None` when the snapshot does not fit or the parent
-/// basis cannot be factorised — the caller falls back to [`warm_start`].
-fn dual_warm_start(sf: Standard, snap: &BasisSnapshot) -> Option<Revised> {
-    let (mut solver, installed) = install_snapshot(sf, snap)?;
-    if installed {
-        solver.recompute_basics();
-    } else if !solver.refactorize() {
-        return None;
-    }
-    Some(solver)
-}
-
-/// Build the solver state from the final basis of a previous solve over a
-/// problem with identical shape (the warm path). Returns `None` when the
-/// snapshot does not fit or its basis cannot be made primal-feasible
-/// cheaply — the caller falls back to [`cold_start`].
-///
-/// Basic variables whose parent value violates a (tightened) child bound
-/// are *evicted*: clamped to the violated bound and replaced in the basis
-/// by their row's artificial, which phase 1 then drives back out. A
-/// branch-and-bound child tightens one bound, so at most a couple of rows
-/// need evicting and phase 1 is a handful of pivots — against the dozens a
-/// cold crash start would pay.
-///
-/// The snapshot's factorisation is installed directly — the child's
-/// constraint matrix is identical, so the parent's factor is exact and the
-/// first reinversion is skipped entirely.
-fn warm_start(sf: Standard, snap: &BasisSnapshot) -> Option<Revised> {
-    let (mut solver, installed) = install_snapshot(sf, snap)?;
-
-    // Factorise the parent basis (or reuse the handed-over factor) and
-    // derive basic values; then evict any basic variable the tightened
-    // bounds push infeasible. Each eviction changes the basis, so
-    // re-factorise and re-check — with one branching bound this settles in
-    // one round, but a few rounds are allowed for sign flips of artificials
-    // on rows whose residual changed side.
-    for round in 0..4 {
-        if round == 0 && installed {
-            solver.recompute_basics();
-        } else if !solver.refactorize() {
-            return None;
-        }
-        let mut dirty = false;
-        for r in 0..solver.m {
-            let j = solver.basis[r];
-            let (lo, hi) = (solver.lower[j], solver.upper[j]);
-            let v = solver.x[j];
-            if v >= lo - 1e-7 && v <= hi + 1e-7 {
-                if v < lo || v > hi {
-                    solver.x[j] = v.clamp(lo, hi);
-                }
-                continue;
-            }
-            dirty = true;
-            if j < solver.art0 {
-                // Clamp to the violated side, hand the row to its artificial.
-                solver.x[j] = v.clamp(lo, hi);
-                solver.in_basis[j] = false;
-                let art = solver.art0 + r;
-                solver.basis[r] = art;
-                solver.in_basis[art] = true;
-            } else {
-                // A basic artificial went negative: flip its sign so the
-                // next factorisation sees a positive value.
-                solver.sign[r] = -solver.sign[r];
-                solver.csc.set_singleton_value(j, solver.sign[r]);
-            }
-        }
-        if !dirty {
-            return Some(solver);
-        }
-    }
-    None
+    Revised::assemble(m, cols, b, lower, upper, x, basis, in_basis, art0)
 }
 
 /// Solve `problem` with the bounded-variable revised simplex.
 pub fn solve(problem: &Problem) -> Result<Solution, SolveError> {
-    solve_with_start(problem, None).map(|(sol, _)| sol)
+    solve_parked(problem).map(|(sol, _)| sol)
 }
 
-/// Solve `problem`, optionally resuming from the final basis of a previous
-/// solve over a problem with identical rows and variables (only bounds and
-/// objective may differ — exactly the branch-and-bound child shape). The
-/// returned snapshot can seed the next solve. An unusable snapshot is not
-/// an error; the solve silently falls back to a cold crash start.
-pub fn solve_with_start(
-    problem: &Problem,
-    warm: Option<&BasisSnapshot>,
-) -> Result<(Solution, BasisSnapshot), SolveError> {
+/// [`solve`], also handing back the solver parked at its final basis
+/// (`None` when the problem has no rows, so no basis). The kernel bench
+/// times its primitives on that basis.
+fn solve_parked(problem: &Problem) -> Result<(Solution, Option<Revised>), SolveError> {
     let n = problem.vars.len();
     let m = problem.constraints.len();
 
@@ -1504,95 +1056,26 @@ pub fn solve_with_start(
             };
         }
         let objective = problem.eval_objective(&values);
-        let snapshot = BasisSnapshot {
-            m: 0,
-            art0: n,
-            rows: Vec::new(),
-            x: values.clone(),
-            sign: Vec::new(),
-            lu: None,
-        };
-        return Ok((Solution { values, objective }, snapshot));
+        return Ok((Solution { values, objective }, None));
     }
 
     let rule = problem.pricing();
-
-    // Dual warm path, tried first: install the parent basis *untouched*
-    // and let the dual simplex repair the bound-flipped basics in place.
-    // The child of a branch-and-bound node differs from its parent only by
-    // a tightened bound, so the parent's optimal basis is dual-feasible
-    // for it and the repair replaces phase 1 (and the eviction rounds)
-    // entirely. Any failure — changed objective, numerics, infeasible
-    // child — falls through to the evicting warm path, then cold.
-    let mut dual_repaired: Option<Revised> = None;
-    if let Some(snap) = warm {
-        if let Some(mut s) = dual_warm_start(standard_form(problem), snap) {
-            let ncols = s.csc.ncols();
-            // Artificials are fixed at zero up front: the repair must
-            // never grow one, and a basic artificial pushed off zero by
-            // the child's bound shift becomes an ordinary leaving
-            // candidate the dual ratio test pivots out.
-            for j in s.art0..ncols {
-                s.upper[j] = 0.0;
-                if !s.in_basis[j] {
-                    s.x[j] = 0.0;
-                }
-            }
-            let mut cost = vec![0.0; ncols];
-            for (j, c) in cost.iter_mut().enumerate().take(n) {
-                *c = problem.vars[j].obj;
-            }
-            let budget = 100 + 4 * (s.m + 10);
-            if s.dual_run(&cost, budget) {
-                trace::count("lp.warm_starts", 1);
-                dual_repaired = Some(s);
-            }
-        }
+    let mut solver = cold_start(problem);
+    // Factorise the crash basis (slack, structural and artificial columns)
+    // once up front, which also derives all basic values consistently.
+    if !solver.refactorize() {
+        return Err(SolveError::IterationLimit);
     }
-    let dual_warm = dual_repaired.is_some();
-    let (mut solver, warm_started) = match dual_repaired {
-        Some(solver) => (solver, true),
-        None => match warm.and_then(|s| warm_start(standard_form(problem), s)) {
-            Some(solver) => {
-                trace::count("lp.warm_starts", 1);
-                (solver, true)
-            }
-            None => {
-                if warm.is_some() {
-                    trace::count("lp.warm_fallbacks", 1);
-                }
-                let mut solver = cold_start(standard_form(problem));
-                // The crash basis mixes slack, structural and artificial
-                // columns, so it is not the ±1 diagonal any more; factorise it
-                // once up front (the diagonal stays as the factorisation seed)
-                // and derive all basic values consistently.
-                if !solver.refactorize() {
-                    return Err(SolveError::IterationLimit);
-                }
-                (solver, false)
-            }
-        },
-    };
 
     let art0 = solver.art0;
     let ncols = solver.csc.ncols();
     let max_iters = 400 * (ncols + m + 10);
 
-    // --- Phase 1: minimise the artificial sum. Skipped when the start
-    // basis is already feasible: for a cold start that means the crash
-    // needed no artificials; for a warm start, that no artificial carries
-    // residual (the usual case when only a bound was tightened). ---
+    // --- Phase 1: minimise the artificial sum. Skipped when the crash
+    // needed no artificials. ---
     let b_scale = solver.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
     let art_sum = |s: &Revised| -> f64 { (art0..ncols).map(|j| s.x[j].abs()).sum() };
-    let needs_phase1 = if dual_warm {
-        // The dual repair only reports success at a primal-feasible basis.
-        false
-    } else if warm_started {
-        art_sum(&solver) > 1e-7 * (1.0 + b_scale)
-    } else {
-        art0 < ncols
-    };
-    if needs_phase1 {
+    if art0 < ncols {
         let mut phase1_cost = vec![0.0; ncols];
         for c in phase1_cost.iter_mut().skip(art0) {
             *c = 1.0;
@@ -1646,9 +1129,9 @@ pub fn solve_with_start(
 
     let values: Vec<f64> = solver.x[..n].to_vec();
     let objective = problem.eval_objective(&values);
-    let snapshot = solver.into_snapshot();
-    Ok((Solution { values, objective }, snapshot))
+    Ok((Solution { values, objective }, Some(solver)))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1967,38 +1450,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_resumes_from_parent_basis() {
-        // Solve, tighten one bound (the branch-and-bound child shape), and
-        // re-solve from the parent snapshot: the result must match a cold
-        // solve exactly, with strictly fewer phase-1 pivots.
-        let mut p = Problem::new();
-        let x = p.add_var("x", 0.0, 10.0, -5.0);
-        let y = p.add_var("y", 0.0, 10.0, -4.0);
-        p.add_constraint(vec![(x, 6.0), (y, 4.0)], Relation::Le, 24.0);
-        p.add_constraint(vec![(x, 1.0), (y, 2.0)], Relation::Le, 6.0);
-        let (_, snap) = solve_with_start(&p, None).unwrap();
-
-        let mut child = p.clone();
-        child.set_bounds(x, 0.0, 3.0);
-
-        trace::reset();
-        let (cold, _) = solve_with_start(&child, None).unwrap();
-        let cold_phase1 = trace::counter("lp.phase1_pivots");
-        trace::reset();
-        let (warm, _) = solve_with_start(&child, Some(&snap)).unwrap();
-        let warm_phase1 = trace::counter("lp.phase1_pivots");
-        assert_eq!(trace::counter("lp.warm_starts"), 1);
-        trace::reset();
-
-        assert_close(warm.objective, cold.objective);
-        assert!(child.is_feasible(&warm.values, 1e-6));
-        assert!(
-            warm_phase1 <= cold_phase1,
-            "warm start must not pay more phase-1 pivots ({warm_phase1} vs {cold_phase1})"
-        );
-    }
-
-    #[test]
     fn devex_folds_pricing_btrans_into_the_weight_update() {
         // A problem big enough to take several pivots: under Devex every
         // iteration after the first prices from the incrementally
@@ -2042,28 +1493,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_with_mismatched_shape_falls_back() {
-        let mut p = Problem::new();
-        let x = p.add_nonneg_var("x", 1.0);
-        p.add_constraint(vec![(x, 1.0)], Relation::Ge, 2.0);
-        let (_, snap) = solve_with_start(&p, None).unwrap();
-
-        // A different problem shape: the snapshot cannot fit and the solve
-        // must silently cold-start instead of failing.
-        let mut q = Problem::new();
-        let a = q.add_nonneg_var("a", 1.0);
-        let b = q.add_nonneg_var("b", 1.0);
-        q.add_constraint(vec![(a, 1.0), (b, 1.0)], Relation::Ge, 3.0);
-        q.add_constraint(vec![(a, 1.0)], Relation::Le, 2.0);
-        trace::reset();
-        let (s, _) = solve_with_start(&q, Some(&snap)).unwrap();
-        assert_eq!(trace::counter("lp.warm_starts"), 0);
-        assert_eq!(trace::counter("lp.warm_fallbacks"), 1);
-        trace::reset();
-        assert!(q.is_feasible(&s.values, 1e-6));
-    }
-
-    #[test]
     fn lu_kernel_emits_ft_updates_and_sparse_ftrans() {
         trace::reset();
         let n = 150;
@@ -2092,33 +1521,22 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_hands_over_the_lu_factorisation() {
+    fn kernel_bench_parks_at_the_final_basis() {
         let mut p = Problem::new();
         let x = p.add_var("x", 0.0, 10.0, -5.0);
         let y = p.add_var("y", 0.0, 10.0, -4.0);
         p.add_constraint(vec![(x, 6.0), (y, 4.0)], Relation::Le, 24.0);
         p.add_constraint(vec![(x, 1.0), (y, 2.0)], Relation::Le, 6.0);
-        let (_, snap) = solve_with_start(&p, None).unwrap();
+        let mut bench = KernelBench::prepare(&p).expect("bounded LP parks a basis");
+        assert_eq!(bench.rows(), 2);
+        assert!(bench.refactor());
+        let first = bench.sweeps(100);
+        assert!(first.is_finite());
+        assert_eq!(first.to_bits(), bench.sweeps(100).to_bits());
 
-        let mut child = p.clone();
-        child.set_bounds(x, 0.0, 3.0);
-
-        trace::reset();
-        let (cold, _) = solve_with_start(&child, None).unwrap();
-        let cold_refactors = trace::counter("lp.refactorisations");
-        trace::reset();
-        let (warm, warm_snap) = solve_with_start(&child, Some(&snap)).unwrap();
-        let warm_refactors = trace::counter("lp.refactorisations");
-        trace::reset();
-
-        assert_close(warm.objective, cold.objective);
-        // The handed-over factorisation replaces the up-front reinversion.
-        assert!(
-            warm_refactors < cold_refactors,
-            "warm start should reuse the parent's LU \
-             ({warm_refactors} vs {cold_refactors} reinversions)"
-        );
-        // The chain continues: the child's snapshot carries a factor too.
-        assert!(warm_snap.lu.is_some(), "child snapshot lost the LU state");
+        // No rows, no basis to park.
+        let mut q = Problem::new();
+        q.add_var("z", 0.0, 1.0, 1.0);
+        assert!(KernelBench::prepare(&q).is_none());
     }
 }

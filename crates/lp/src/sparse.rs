@@ -62,14 +62,6 @@ impl CscMatrix {
     pub fn col_nnz(&self, j: usize) -> usize {
         self.col_ptr[j + 1] - self.col_ptr[j]
     }
-
-    /// Overwrite the value of a single-entry column (used when a warm start
-    /// flips the sign of a row's artificial). Panics if `j` is not a
-    /// singleton column.
-    pub fn set_singleton_value(&mut self, j: usize, value: f64) {
-        assert_eq!(self.col_nnz(j), 1, "column {j} is not a singleton");
-        self.values[self.col_ptr[j]] = value;
-    }
 }
 
 /// Row-pattern index over the leading `limit` columns of a [`CscMatrix`]
@@ -218,14 +210,6 @@ mod tests {
         assert_eq!(csc.col(0), (&[0usize, 2][..], &[1.0, -3.0][..]));
         assert_eq!(csc.col_nnz(1), 0);
         assert_eq!(csc.col(2), (&[1usize][..], &[2.0][..]));
-    }
-
-    #[test]
-    fn csc_singleton_update() {
-        let cols = vec![vec![(0, 1.0), (1, 1.0)], vec![(1, 1.0)]];
-        let mut csc = CscMatrix::from_cols(2, &cols);
-        csc.set_singleton_value(1, -1.0);
-        assert_eq!(csc.col(1), (&[1usize][..], &[-1.0][..]));
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //! state provably reaches every continuation at least as cheaply (exact
 //! per-candidate move totals for the arrays the next phase prices, a
 //! per-array move-cost upper bound for the arrays that carry through), so
-//! pruning never changes the chosen plan — unlike the old fixed-size beam,
-//! which silently lost optima on wide programs and survives only as the
-//! explicit [`DpPruning::Beam`] ablation mode.
+//! pruning never changes the chosen plan. [`DpPruning::Exhaustive`] turns
+//! pruning off; it is the ground truth the property tests compare against.
 
 use crate::redist::RedistCost;
 use align_ir::ArrayId;
@@ -146,8 +145,9 @@ pub enum LayoutDpError {
         /// The offending phase index.
         phase: usize,
     },
-    /// A state layer was empty at backtrack time (can only happen with a
-    /// pathological `Beam { cap: 0 }`).
+    /// A state layer was empty at backtrack time. No pruning mode empties
+    /// a layer (the closure-pricer beam keeps at least one state), so this
+    /// reports an internal inconsistency rather than a bad input.
     BacktrackFailed {
         /// The layer whose states ran out.
         phase: usize,
@@ -229,9 +229,9 @@ impl<F: FnMut(usize, ArrayId, SigId, SigId) -> f64> DpPricer for F {
     }
 }
 
-/// Default width at which [`DpPruning::Dominance`] starts spending effort
-/// (and at which the legacy beam used to truncate). Real workloads stay far
-/// below; the trigger only guards adversarial inputs.
+/// Default width at which [`DpPruning::Dominance`] starts spending effort.
+/// Real workloads stay far below; the trigger only guards adversarial
+/// inputs.
 const MAX_STATES_PER_LAYER: usize = 4096;
 
 /// How many of the cheapest states are tried as dominators against each
@@ -248,16 +248,12 @@ pub enum DpPruning {
     /// arrays, with a strict epsilon so ties always survive). Never changes
     /// the chosen plan. Runs only when a layer exceeds `trigger` states,
     /// and only on the structured pricer path ([`DpPricer::wants_prefill`]);
-    /// a plain closure pricer falls back to a beam at `trigger`.
+    /// a plain closure pricer has no price tables to bound dominance with,
+    /// so it falls back to keeping the `trigger` cheapest states (at least
+    /// one) — a beam that can lose optima.
     Dominance {
         /// Layer width above which the pruning pass runs.
         trigger: usize,
-    },
-    /// The legacy safety cap: keep the `cap` cheapest states of each layer.
-    /// Can lose optima; retained as an ablation baseline.
-    Beam {
-        /// Maximum states kept per layer.
-        cap: usize,
     },
     /// No pruning at all — the ground truth the property tests compare
     /// against.
@@ -365,12 +361,11 @@ pub fn solve_layout_dp_with(
 
     let n = layers.len();
     let structured = move_cost.wants_prefill();
-    // The beam that still applies post-transition: explicit in Beam mode;
-    // the legacy fallback when a closure pricer (no structured path, so no
-    // price tables to bound dominance with) outgrows the trigger.
+    // A closure pricer (no structured path, so no price tables to bound
+    // dominance with) falls back to a beam at the trigger width. A zero
+    // trigger still keeps one state: an empty layer has no plan.
     let beam = match pruning {
-        DpPruning::Beam { cap } => Some(cap),
-        DpPruning::Dominance { trigger } if !structured => Some(trigger),
+        DpPruning::Dominance { trigger } if !structured => Some(trigger.max(1)),
         _ => None,
     };
 
@@ -1150,5 +1145,36 @@ mod tests {
             pruned_total < full_total,
             "dominance actually pruned ({pruned_total} vs {full_total} states)"
         );
+    }
+
+    #[test]
+    fn zero_trigger_still_plans_through_the_closure_beam() {
+        // A closure pricer has no structured path, so `Dominance` falls
+        // back to a beam at the trigger width. A zero trigger must keep one
+        // state per layer, not empty every layer.
+        let layers = vec![
+            layer(&[0.0, 100.0], &[&[4, 1], &[1, 4]], &[0, 1]),
+            layer(&[100.0, 0.0], &[&[4, 1], &[1, 4]], &[0, 1]),
+        ];
+        let before = trace::counter("phases.dp.states_pruned");
+        let plan = solve_layout_dp_with(
+            &layers,
+            &one_array_refs(2),
+            0.0,
+            &mut |_: usize, _: ArrayId, src: SigId, dst: SigId| {
+                if src == dst {
+                    0.0
+                } else {
+                    1.0
+                }
+            },
+            DpPruning::Dominance { trigger: 0 },
+        )
+        .expect("a zero trigger keeps one state per layer");
+        assert_eq!(plan.chosen, vec![0, 1]);
+        assert_eq!(plan.states_per_layer, vec![1, 1]);
+        // Layer 0 drops its dearer state; the last layer's states carry no
+        // live array, so they merge instead of being pruned.
+        assert_eq!(trace::counter("phases.dp.states_pruned") - before, 1);
     }
 }
